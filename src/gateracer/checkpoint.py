@@ -1,12 +1,17 @@
 """Self-describing binary checkpoints: magic string, format version,
-length-prefixed named sections, weights as raw little-endian float64."""
+length-prefixed named sections, weights as raw little-endian float64; and
+the policy's layout inside them."""
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
+
+from .networks import PolicyParams
+from .normalization import RunningStats
 
 MAGIC = b"GRCKPT\x00"
 FORMAT_VERSION = 1
@@ -107,8 +112,6 @@ def save_checkpoint(path, state: dict) -> None:
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
-    import os
-
     os.replace(tmp, path)
 
 
@@ -134,3 +137,25 @@ def load_checkpoint(path) -> dict:
     if not r.exhausted:
         raise CheckpointError("trailing bytes after final section")
     return state
+
+
+def policy_entries(params: PolicyParams, obs_stats: RunningStats):
+    """The policy's share of a checkpoint as (arrays, scalars) entries:
+    parameters in flat_list() order and the observation statistics."""
+    arrays = {f"param{i:02d}": p for i, p in enumerate(params.flat_list())}
+    arrays["obs_mean"] = obs_stats.mean
+    arrays["obs_m2"] = obs_stats.m2
+    return arrays, {"obs_count": obs_stats.count}
+
+
+def load_policy(state: dict, frozen: bool):
+    """Inverse of policy_entries on a loaded state: (params, obs stats)."""
+    arrays = state["arrays"]
+    n = sum(name.startswith("param") for name in arrays)
+    params = PolicyParams.from_flat_list(
+        [arrays[f"param{i:02d}"] for i in range(n)])
+    stats = RunningStats(len(arrays["obs_mean"]))
+    stats.load_state_dict({"count": state["scalars"]["obs_count"],
+                           "mean": arrays["obs_mean"],
+                           "m2": arrays["obs_m2"], "frozen": frozen})
+    return params, stats

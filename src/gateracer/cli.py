@@ -53,7 +53,8 @@ def _cmd_train(args) -> int:
     telemetry = None
     if args.metrics_addr:
         host, port = parse_address(args.metrics_addr)
-        telemetry = MetricsServer(host, port)
+        telemetry = MetricsServer(
+            host, port, queue_size=cfg.harness.metrics_queue_size)
     try:
         trainer = Trainer(cfg, seed=args.seed, out_dir=args.out,
                           telemetry=telemetry, resume=args.resume)

@@ -3,6 +3,7 @@ plus observation assembly."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ from . import dynamics, opponent, rewards
 from .dynamics import DroneState, DynamicsConfig, ImuReading
 from .geometry import (DEFAULT_DRONE_RADIUS, PassEvent, Track,
                        segment_frame_collision, segment_gate_crossing,
-                       sample_spawn)
+                       sample_spawn, track_to_dict)
 from .rewards import EpisodeStatus, RewardConfig, TERM_NONE
 
 OBS_DIM = 21
@@ -50,6 +51,12 @@ def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
         np.asarray(gps, dtype=np.float64), to_gate, [rel_yaw], to_opp,
         [frac], [timer],
     ])
+
+
+def _drone_json(d: DroneState) -> dict:
+    return {"position": d.position.tolist(), "velocity": d.velocity.tolist(),
+            "attitude": d.attitude.tolist(),
+            "angular_velocity": d.angular_velocity.tolist(), "time": d.time}
 
 
 @dataclass
@@ -94,7 +101,6 @@ class RacingEnv:
         self.status: EpisodeStatus | None = None
         self.opponent_times: np.ndarray | None = None
         self.episode_steps = 0
-        self.episode_raw_return = 0.0
 
     def reset(self, spawn_override: DroneState | None = None) -> np.ndarray:
         if spawn_override is not None:
@@ -107,8 +113,30 @@ class RacingEnv:
         self.status = rewards.init_status(
             self.track, self.opponent_times, self.reward_cfg, t0=self.agent.time)
         self.episode_steps = 0
-        self.episode_raw_return = 0.0
         return self.observe()
+
+    def state_dict(self) -> dict:
+        """JSON-able episode state. The random streams belong to the
+        caller and are not included; the track is, for rebuilding the env
+        (construct on `track_from_dict(state["track"])`, then load)."""
+        return {
+            "agent": _drone_json(self.agent),
+            "opponent": _drone_json(self.opp.drone),
+            "opponent_waypoint": self.opp.waypoint_index,
+            "status": dataclasses.asdict(self.status),
+            "opponent_times": self.opponent_times.tolist(),
+            "episode_steps": self.episode_steps,
+            "track": track_to_dict(self.track),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self.agent = DroneState(**state["agent"])
+        self.opp = opponent.FollowerState(
+            drone=DroneState(**state["opponent"]),
+            waypoint_index=int(state["opponent_waypoint"]))
+        self.status = EpisodeStatus(**state["status"])
+        self.opponent_times = np.array(state["opponent_times"])
+        self.episode_steps = int(state["episode_steps"])
 
     def observe(self) -> np.ndarray:
         imu = dynamics.read_imu(self.agent, self.dyn_cfg.imu_noise_std,
@@ -117,20 +145,6 @@ class RacingEnv:
                                 self.sensor_rng)
         return build_observation(self.agent, self.opp.drone.position,
                                  self.status, self.track, imu, gps)
-
-    def observe_final(self) -> np.ndarray:
-        """Observation of the terminal state after a clock cutoff, for
-        value bootstrapping; only valid for time-limit terminations."""
-        from dataclasses import replace
-        if self.status.done != rewards.TERM_TIME_LIMIT:
-            raise ValueError("observe_final is only for time-limit cutoffs")
-        imu = dynamics.read_imu(self.agent, self.dyn_cfg.imu_noise_std,
-                                self.sensor_rng)
-        gps = dynamics.read_gps(self.agent, self.dyn_cfg.gps_noise_std,
-                                self.sensor_rng)
-        status = replace(self.status, done=TERM_NONE)
-        return build_observation(self.agent, self.opp.drone.position,
-                                 status, self.track, imu, gps)
 
     def detect_events(self, prev: DroneState, nxt: DroneState) -> dict:
         """Geometric events for one step: the gate-pass test is only
@@ -172,12 +186,11 @@ class RacingEnv:
             self.opponent_times, self.track)
         self.agent = nxt
         self.episode_steps += 1
-        self.episode_raw_return += reward
         done = self.status.done != TERM_NONE
         info = {"events": events}
         if done:
             info["episode"] = EpisodeInfo(
-                episode_return=self.episode_raw_return,
+                episode_return=self.status.episode_return,
                 gates_passed=self.status.gates_passed,
                 collisions=self.status.collisions,
                 duration=self.agent.time,

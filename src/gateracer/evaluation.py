@@ -2,35 +2,32 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .config import RunConfig, run_config_from_dict
-from .env import OBS_DIM, RacingEnv
+from .checkpoint import load_policy
+from .config import run_config_from_dict
+from .env import RacingEnv
 from .geometry import Track, sample_spawn, segment_gate_crossing, track_from_dict
-from .networks import PolicyParams, forward, init_policy, sample_action
-from .normalization import RunningStats, normalize_observation
+from .networks import forward, sample_action
+from .normalization import normalize_observation
 from .rewards import TERM_ALL_GATES, resolved_time_limit
-from . import opponent
 
 
-def policy_from_checkpoint(state: dict):
-    """(params, frozen RunningStats, RunConfig, base Track) from a loaded
-    checkpoint state dict."""
-    cfg = run_config_from_dict(state["config"])
-    params = init_policy(np.random.default_rng(0), OBS_DIM)
-    for i, p in enumerate(params.flat_list()):
-        p[...] = state["arrays"][f"param{i:02d}"]
-    stats = RunningStats(OBS_DIM)
-    stats.load_state_dict({
-        "count": state["scalars"]["obs_count"],
-        "mean": state["arrays"]["obs_mean"],
-        "m2": state["arrays"]["obs_m2"],
-        "frozen": True,
-    })
-    track = track_from_dict(state["track"])
-    return params, stats, cfg, track
+def _setup(ckpt_state: dict, episodes: int, track: Track | None, seed: int):
+    """Frozen policy, config, track and env for `episodes` episodes; the
+    seed fans out into spawn, sensor and action streams."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
+    params, stats = load_policy(ckpt_state, frozen=True)
+    cfg = run_config_from_dict(ckpt_state["config"])
+    track = track or track_from_dict(ckpt_state["track"])
+    spawn_rng, sensor_rng, action_rng = (
+        np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
+    env = RacingEnv(track, cfg.dynamics, cfg.reward,
+                    opponent_cfg=cfg.opponent, spawn_rng=spawn_rng,
+                    sensor_rng=sensor_rng,
+                    drone_radius=cfg.harness.drone_radius)
+    return params, stats, cfg, track, env, action_rng
 
 
 def _policy_action(params, stats, obs_raw, deterministic, rng):
@@ -63,22 +60,15 @@ def evaluate(ckpt_state: dict, episodes: int, deterministic: bool = False,
              yaw_error: float = 0.0) -> dict:
     """Run episodes with frozen normalization statistics; spawns are drawn
     per episode from the spawn band (optionally displaced)."""
-    params, stats, cfg, base_track = policy_from_checkpoint(ckpt_state)
-    track = track or base_track
-    root = np.random.SeedSequence(seed)
-    spawn_rng, sensor_rng, action_rng = (np.random.default_rng(c)
-                                         for c in root.spawn(3))
-    env = RacingEnv(track, cfg.dynamics, cfg.reward,
-                    opponent_cfg=cfg.opponent, spawn_rng=spawn_rng,
-                    sensor_rng=sensor_rng,
-                    drone_radius=cfg.harness.drone_radius)
+    params, stats, _, track, env, action_rng = _setup(ckpt_state, episodes,
+                                                      track, seed)
     completions = 0
     gates, times, collisions = [], [], []
     for _ in range(episodes):
         override = None
         if spawn_distance is not None or yaw_error:
-            override = _displaced_spawn(track, spawn_rng, spawn_distance,
-                                        yaw_error)
+            override = _displaced_spawn(track, env.spawn_rng,
+                                        spawn_distance, yaw_error)
         obs_raw = env.reset(spawn_override=override)
         done = False
         while not done:
@@ -103,20 +93,12 @@ def evaluate(ckpt_state: dict, episodes: int, deterministic: bool = False,
 
 
 def race(ckpt_state: dict, episodes: int, track: Track | None = None,
-         seed: int = 0, deterministic: bool = True,
-         action_fn=None) -> dict:
+         seed: int = 0, deterministic: bool = True) -> dict:
     """Agent and opponent step in lockstep from the same spawn; winner is
     the first to pass every gate, ties go to the opponent. Agent
     termination before finishing counts as a DNF."""
-    params, stats, cfg, base_track = policy_from_checkpoint(ckpt_state)
-    track = track or base_track
-    root = np.random.SeedSequence(seed)
-    spawn_rng, sensor_rng, action_rng = (np.random.default_rng(c)
-                                         for c in root.spawn(3))
-    env = RacingEnv(track, cfg.dynamics, cfg.reward,
-                    opponent_cfg=cfg.opponent, spawn_rng=spawn_rng,
-                    sensor_rng=sensor_rng,
-                    drone_radius=cfg.harness.drone_radius)
+    params, stats, cfg, track, env, action_rng = _setup(ckpt_state, episodes,
+                                                        track, seed)
     agent_wins = opponent_wins = dnfs = 0
     hard_time_cap = 4.0 * resolved_time_limit(cfg.reward, track)
     for _ in range(episodes):
@@ -124,11 +106,8 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
         opp_target = 0
         outcome = None
         while outcome is None:
-            if action_fn is not None:
-                action = action_fn(obs_raw, env)
-            else:
-                action = _policy_action(params, stats, obs_raw, deterministic,
-                                        action_rng)
+            action = _policy_action(params, stats, obs_raw, deterministic,
+                                    action_rng)
             opp_prev = env.opp.drone.position.copy()
             _, done, info = env.step(action)
             # track the opponent's own gate progress on the same step

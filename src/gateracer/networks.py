@@ -17,13 +17,22 @@ LOG_STD_MAX = 2.0
 LOG2PI = math.log(2.0 * math.pi)
 
 
+def _init_layout(a) -> np.ndarray:
+    """A float64 copy in the policy's memory order: Fortran for a wide
+    matrix (init builds it as a transposed QR factor), C otherwise. BLAS
+    sums in a different order per layout, so restored weights must take
+    the same one to stay bit-identical to the run that saved them."""
+    wide = np.ndim(a) == 2 and a.shape[0] < a.shape[1]
+    return np.array(a, dtype=np.float64, order="F" if wide else "C")
+
+
 def _orthogonal(rng: np.random.Generator, shape, gain: float) -> np.ndarray:
     a = rng.standard_normal(shape)
     q, r = np.linalg.qr(a if shape[0] >= shape[1] else a.T)
     q = q * np.sign(np.diag(r))
     if shape[0] < shape[1]:
         q = q.T
-    return gain * q[: shape[0], : shape[1]]
+    return _init_layout(gain * q[: shape[0], : shape[1]])
 
 
 def init_mlp(rng: np.random.Generator, in_dim: int, hidden: int,
@@ -53,6 +62,13 @@ class PolicyParams:
         """Canonical parameter ordering used by the optimizer and the
         checkpoint format."""
         return list(self.actor) + [self.log_std] + list(self.critic)
+
+    @classmethod
+    def from_flat_list(cls, flat) -> "PolicyParams":
+        """Inverse of flat_list(); copies into the init memory layout."""
+        flat = [_init_layout(a) for a in flat]
+        n = (len(flat) - 1) // 2
+        return cls(actor=flat[:n], log_std=flat[n], critic=flat[n + 1:])
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(

@@ -42,8 +42,7 @@ class TrainConfig:
 
 class RolloutBuffer:
     """Fixed-capacity on-policy store. Log-probs correspond to the raw
-    (pre-clip) actions; rewards here are the scaled ones fed to GAE while
-    raw rewards are kept separately for metrics."""
+    (pre-clip) actions; rewards are the scaled ones fed to GAE."""
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int = 3):
         self.capacity = capacity
@@ -51,7 +50,6 @@ class RolloutBuffer:
         self.actions = np.zeros((capacity, action_dim))
         self.log_probs = np.zeros(capacity)
         self.rewards = np.zeros(capacity)
-        self.raw_rewards = np.zeros(capacity)
         self.values = np.zeros(capacity)
         self.dones = np.zeros(capacity)
         self.advantages = np.zeros(capacity)
@@ -63,7 +61,7 @@ class RolloutBuffer:
     def full(self) -> bool:
         return self.ptr == self.capacity
 
-    def add(self, obs, action, log_prob, reward, raw_reward, value, done):
+    def add(self, obs, action, log_prob, reward, value, done):
         if self.full:
             raise ValueError("rollout buffer is full")
         i = self.ptr
@@ -71,7 +69,6 @@ class RolloutBuffer:
         self.actions[i] = action
         self.log_probs[i] = log_prob
         self.rewards[i] = reward
-        self.raw_rewards[i] = raw_reward
         self.values[i] = value
         self.dones[i] = 1.0 if done else 0.0
         self.ptr += 1

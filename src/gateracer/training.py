@@ -10,15 +10,12 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import (RunConfig, resolve_track, run_config_from_dict,
                      run_config_to_dict)
-from .dynamics import DroneState
 from .env import OBS_DIM, RacingEnv
 from .geometry import Track, track_from_dict, track_to_dict
 from .metrics import MetricsLogger, MetricsRecord
-from .networks import Adam, PolicyParams, forward, init_policy, sample_action
+from .networks import Adam, forward, init_policy, sample_action
 from .normalization import RewardScaler, RunningStats, normalize_observation
-from .opponent import FollowerState
 from .ppo import RolloutBuffer, compute_gae, ppo_update
-from .rewards import TERM_TIME_LIMIT, EpisodeStatus
 
 STREAM_NAMES = ("track", "spawn", "policy", "sensors", "update")
 
@@ -29,35 +26,6 @@ def make_streams(seed: int) -> dict[str, np.random.Generator]:
     children = root.spawn(len(STREAM_NAMES))
     return {name: np.random.default_rng(child)
             for name, child in zip(STREAM_NAMES, children)}
-
-
-def _drone_to_dict(d: DroneState) -> dict:
-    return {"position": list(d.position), "velocity": list(d.velocity),
-            "attitude": list(d.attitude),
-            "angular_velocity": list(d.angular_velocity), "time": d.time}
-
-
-def _drone_from_dict(d: dict) -> DroneState:
-    return DroneState(position=np.array(d["position"]),
-                      velocity=np.array(d["velocity"]),
-                      attitude=np.array(d["attitude"]),
-                      angular_velocity=np.array(d["angular_velocity"]),
-                      time=float(d["time"]))
-
-
-def _status_to_dict(s: EpisodeStatus) -> dict:
-    return {"target_gate": s.target_gate, "gate_deadline": s.gate_deadline,
-            "collisions": s.collisions, "gates_passed": s.gates_passed,
-            "done": s.done, "episode_return": s.episode_return}
-
-
-def _status_from_dict(d: dict) -> EpisodeStatus:
-    return EpisodeStatus(target_gate=int(d["target_gate"]),
-                         gate_deadline=float(d["gate_deadline"]),
-                         collisions=int(d["collisions"]),
-                         gates_passed=int(d["gates_passed"]),
-                         done=d["done"],
-                         episode_return=float(d["episode_return"]))
 
 
 class Trainer:
@@ -76,26 +44,25 @@ class Trainer:
         self.cfg = run_cfg
         self.seed = seed
         self.rngs = make_streams(seed)
-        self.params = init_policy(self.rngs["policy"], OBS_DIM)
-        self.adam = Adam([p.shape for p in self.params.flat_list()])
-        self.obs_stats = RunningStats(OBS_DIM)
         self.reward_scaler = RewardScaler(run_cfg.train.gamma)
         self.global_step = 0
         self.episode_count = 0
         self.update_count = 0
         self._last_update_stats: dict | None = None
-
-        self._tl_bootstrap = os.environ.get("GATERACER_TL_BOOTSTRAP", "0") != "0"
+        self.checkpoint_path = os.path.join(self.out_dir, "checkpoint.bin")
         self.base_track = resolve_track(run_cfg)
-        self.env = self._make_env(self.base_track)
         self.metrics = MetricsLogger(os.path.join(self.out_dir, "metrics.jsonl"),
                                      telemetry=telemetry)
 
         if state is not None:
             self._restore(state)
         else:
-            obs_raw = self.env.reset()
-            self._pending_obs = normalize_observation(self.obs_stats, obs_raw)
+            self.params = init_policy(self.rngs["policy"], OBS_DIM)
+            self.adam = Adam([p.shape for p in self.params.flat_list()])
+            self.obs_stats = RunningStats(OBS_DIM)
+            self.env = self._make_env(self.base_track)
+            self._pending_obs = normalize_observation(self.obs_stats,
+                                                      self.env.reset())
 
     def _make_env(self, track: Track) -> RacingEnv:
         return RacingEnv(track, self.cfg.dynamics, self.cfg.reward,
@@ -123,13 +90,7 @@ class Trainer:
             if not np.isfinite(reward_raw):
                 raise RuntimeError(f"non-finite reward at step {self.global_step}")
             scaled = self.reward_scaler.scale(reward_raw, done)
-            if (done and self._tl_bootstrap
-                    and info["episode"].termination == TERM_TIME_LIMIT):
-                # the clock, not the race, ended the episode: bootstrap the
-                # cut-off return with the critic so loitering near the
-                # horizon is not mistaken for a zero-value terminal state
-                scaled += cfg.gamma * self._frozen_value(self.env.observe_final())
-            buf.add(obs_n, raw, logp, scaled, reward_raw, value, done)
+            buf.add(obs_n, raw, logp, scaled, value, done)
             self.global_step += 1
             if done:
                 self.episode_count += 1
@@ -143,18 +104,6 @@ class Trainer:
             obs_n = normalize_observation(self.obs_stats, obs_raw)
         self._pending_obs = obs_n
         return buf, infos
-
-    def _frozen_value(self, obs_raw: np.ndarray) -> float:
-        """Critic value of a raw observation without touching the running
-        normalization moments."""
-        was_frozen = self.obs_stats.frozen
-        self.obs_stats.frozen = True
-        try:
-            obs_n = normalize_observation(self.obs_stats, obs_raw)
-        finally:
-            self.obs_stats.frozen = was_frozen
-        _, _, value = forward(self.params, obs_n)
-        return value
 
     def _bootstrap_value(self, buf: RolloutBuffer) -> float:
         if buf.dones[-1]:
@@ -194,51 +143,42 @@ class Trainer:
         ))
 
     # ------------------------------------------------------------------
-    def train(self) -> str:
-        """Alternate rollout / GAE / update until the step budget; returns
-        the final checkpoint path."""
+    def iterate(self) -> None:
+        """One training iteration: rollout, GAE, PPO update, the update
+        record and the periodic checkpoint."""
         cfg = self.cfg.train
-        total_updates = max(1, cfg.total_steps // cfg.rollout_steps)
-        while self.global_step < cfg.total_steps:
-            buf, _ = self.collect_rollout()
-            compute_gae(buf, self._bootstrap_value(buf), cfg.gamma,
-                        cfg.gae_lambda)
-            lr = cfg.learning_rate
-            if cfg.lr_decay:
-                frac = 1.0 - self.update_count / total_updates
-                lr = cfg.learning_rate * max(frac, 0.0)
-            _, stats = ppo_update(self.params, buf, cfg, self.rngs["update"],
-                                  adam=self.adam, lr=lr)
-            self.update_count += 1
-            self._last_update_stats = stats
-            self._emit_update(stats)
-            if self.update_count % self.cfg.harness.checkpoint_interval == 0:
-                self.save(os.path.join(self.out_dir, "checkpoint.bin"))
-        path = os.path.join(self.out_dir, "checkpoint.bin")
-        self.save(path)
+        buf, _ = self.collect_rollout()
+        compute_gae(buf, self._bootstrap_value(buf), cfg.gamma, cfg.gae_lambda)
+        lr = cfg.learning_rate
+        if cfg.lr_decay:
+            total_updates = max(1, cfg.total_steps // cfg.rollout_steps)
+            frac = 1.0 - self.update_count / total_updates
+            lr = cfg.learning_rate * max(frac, 0.0)
+        _, stats = ppo_update(self.params, buf, cfg, self.rngs["update"],
+                              adam=self.adam, lr=lr)
+        self.update_count += 1
+        self._last_update_stats = stats
+        self._emit_update(stats)
+        if self.update_count % self.cfg.harness.checkpoint_interval == 0:
+            self.save(self.checkpoint_path)
+
+    def train(self) -> str:
+        """Iterate until the step budget; returns the final checkpoint
+        path."""
+        while self.global_step < self.cfg.train.total_steps:
+            self.iterate()
+        self.save(self.checkpoint_path)
         self.metrics.close()
-        return path
+        return self.checkpoint_path
 
     # ------------------------------------------------------------------
     def _state_dict(self) -> dict:
-        arrays = {f"param{i:02d}": p
-                  for i, p in enumerate(self.params.flat_list())}
+        arrays, scalars = ckpt.policy_entries(self.params, self.obs_stats)
         arrays.update({f"adam_m{i:02d}": m for i, m in enumerate(self.adam.m)})
         arrays.update({f"adam_v{i:02d}": v for i, v in enumerate(self.adam.v)})
-        arrays["obs_mean"] = self.obs_stats.mean
-        arrays["obs_m2"] = self.obs_stats.m2
         arrays["pending_obs"] = self._pending_obs
-        env = self.env
-        env_state = {
-            "agent": _drone_to_dict(env.agent),
-            "opponent": _drone_to_dict(env.opp.drone),
-            "opponent_waypoint": env.opp.waypoint_index,
-            "status": _status_to_dict(env.status),
-            "opponent_times": list(env.opponent_times),
-            "episode_steps": env.episode_steps,
-            "episode_raw_return": env.episode_raw_return,
-            "track": track_to_dict(env.track),
-        }
+        scalars.update(adam_t=self.adam.t,
+                       reward_scaler=self.reward_scaler.state_dict())
         return {
             "counters": {"global_step": self.global_step,
                          "episode_count": self.episode_count,
@@ -248,12 +188,10 @@ class Trainer:
             "config": run_config_to_dict(self.cfg),
             "track": track_to_dict(self.base_track),
             "arrays": arrays,
-            "scalars": {"adam_t": self.adam.t,
-                        "obs_count": self.obs_stats.count,
-                        "reward_scaler": self.reward_scaler.state_dict()},
+            "scalars": scalars,
             "rng": {name: gen.bit_generator.state
                     for name, gen in self.rngs.items()},
-            "env": env_state,
+            "env": self.env.state_dict(),
         }
 
     def save(self, path) -> str:
@@ -261,19 +199,14 @@ class Trainer:
         return path
 
     def _restore(self, state: dict) -> None:
-        arrays = state["arrays"]
+        self.params, self.obs_stats = ckpt.load_policy(state, frozen=False)
         flat = self.params.flat_list()
-        for i, p in enumerate(flat):
-            p[...] = arrays[f"param{i:02d}"]
+        self.adam = Adam([p.shape for p in flat])
+        arrays = state["arrays"]
         self.adam.load_state_dict({
             "t": state["scalars"]["adam_t"],
             "m": [arrays[f"adam_m{i:02d}"] for i in range(len(flat))],
             "v": [arrays[f"adam_v{i:02d}"] for i in range(len(flat))],
-        })
-        self.obs_stats.load_state_dict({
-            "count": state["scalars"]["obs_count"],
-            "mean": arrays["obs_mean"], "m2": arrays["obs_m2"],
-            "frozen": False,
         })
         self.reward_scaler.load_state_dict(state["scalars"]["reward_scaler"])
         for name, gen in self.rngs.items():
@@ -283,16 +216,6 @@ class Trainer:
         self.episode_count = int(c["episode_count"])
         self.update_count = int(c["update_count"])
         self._last_update_stats = c.get("last_update_stats")
-
-        env_state = state["env"]
-        track = track_from_dict(env_state["track"])
-        self.env = self._make_env(track)
-        self.env.agent = _drone_from_dict(env_state["agent"])
-        self.env.opp = FollowerState(
-            drone=_drone_from_dict(env_state["opponent"]),
-            waypoint_index=int(env_state["opponent_waypoint"]))
-        self.env.status = _status_from_dict(env_state["status"])
-        self.env.opponent_times = np.array(env_state["opponent_times"])
-        self.env.episode_steps = int(env_state["episode_steps"])
-        self.env.episode_raw_return = float(env_state["episode_raw_return"])
+        self.env = self._make_env(track_from_dict(state["env"]["track"]))
+        self.env.load_state_dict(state["env"])
         self._pending_obs = arrays["pending_obs"]

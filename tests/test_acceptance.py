@@ -27,7 +27,7 @@ from gateracer.networks import (forward_batch, gaussian_log_prob, init_policy)
 from gateracer.opponent import (FollowerState, advance, expected_gate_times,
                                 plan)
 from gateracer.ppo import (RolloutBuffer, TrainConfig,
-                           _minibatch_loss_and_grads, compute_gae, ppo_update)
+                           _minibatch_loss_and_grads, compute_gae)
 from gateracer.rewards import TERM_ALL_GATES
 from gateracer.telemetry import MetricsServer
 from gateracer.training import Trainer
@@ -76,15 +76,9 @@ def trained_policy(tmp_path_factory):
     tr = Trainer(cfg, seed=0, out_dir=out)
 
     t0 = time.perf_counter()
-    tcfg = cfg.train
     streak = 0
-    while tr.global_step < tcfg.total_steps:
-        buf, _ = tr.collect_rollout()
-        compute_gae(buf, tr._bootstrap_value(buf), tcfg.gamma, tcfg.gae_lambda)
-        _, stats = ppo_update(tr.params, buf, tcfg, tr.rngs["update"],
-                              adam=tr.adam, lr=tcfg.learning_rate)
-        tr.update_count += 1
-        tr._last_update_stats = stats
+    while tr.global_step < cfg.train.total_steps:
+        tr.iterate()
         if tr.update_count % 10 == 0:
             probe = evaluate(tr._state_dict(), 20, deterministic=True,
                              seed=123)
@@ -223,7 +217,7 @@ def test_criterion_2_gae_oracle(capfd):
             buf = RolloutBuffer(n, 4)
             for _ in range(n):
                 buf.add(rng.standard_normal(4), rng.standard_normal(3),
-                        0.0, float(rng.standard_normal()), 0.0,
+                        0.0, float(rng.standard_normal()),
                         float(rng.standard_normal()), bool(rng.random() < 0.1))
             bootstrap = float(rng.standard_normal())
             for lam in (0.95, 1.0):

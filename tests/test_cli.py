@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 
 from gateracer.cli import main
@@ -81,3 +82,50 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
     path.write_text(yaml.safe_dump({"train": {"clip_epsilon": 5.0}}))
     assert main(["train", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.fixture(scope="module")
+def trained_ckpt(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("cli")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_cfg(tmp_path), "--seed", "0",
+                 "--out", str(out_dir)]) == 0
+    return str(out_dir / "checkpoint.bin")
+
+
+@pytest.mark.parametrize("command", ["eval", "race"])
+@pytest.mark.parametrize("episodes", ["0", "-1"])
+def test_episodes_below_one_is_exit_1(trained_ckpt, command, episodes,
+                                      capsys):
+    assert main([command, "--ckpt", trained_ckpt,
+                 "--episodes", episodes]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: episodes must be at least 1" in captured.err
+
+
+def test_train_passes_metrics_queue_size(tmp_path, monkeypatch):
+    import gateracer.telemetry
+
+    seen = {}
+
+    class FakeServer:
+        def __init__(self, host, port, queue_size):
+            seen.update(host=host, port=port, queue_size=queue_size)
+
+        def publish(self, line):
+            pass
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(gateracer.telemetry, "MetricsServer", FakeServer)
+    write_cfg(tmp_path, total_steps=256, rollout_steps=256,
+              minibatch_size=256)
+    cfg = yaml.safe_load((tmp_path / "run.yaml").read_text())
+    cfg["harness"]["metrics_queue_size"] = 7
+    path = tmp_path / "queue.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--metrics-addr", "127.0.0.1:0"]) == 0
+    assert seen == {"host": "127.0.0.1", "port": 0, "queue_size": 7}

@@ -30,8 +30,7 @@ def filled_buffer(rng, n=128, obs_dim=4):
     for _ in range(n):
         buf.add(rng.standard_normal(obs_dim), rng.standard_normal(3),
                 float(rng.standard_normal()), float(rng.standard_normal()),
-                0.0, float(rng.standard_normal()),
-                bool(rng.random() < 0.1))
+                float(rng.standard_normal()), bool(rng.random() < 0.1))
     return buf
 
 
@@ -48,12 +47,12 @@ def test_config_validation():
 
 def test_buffer_capacity_and_reset():
     buf = RolloutBuffer(2, 3)
-    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, 0.0, False)
+    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, False)
     assert not buf.full
-    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, 0.0, True)
+    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, True)
     assert buf.full
     with pytest.raises(ValueError):
-        buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, 0.0, False)
+        buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, False)
     buf.reset()
     assert buf.ptr == 0 and not buf.advantages_ready
 
@@ -178,7 +177,7 @@ def make_update_inputs(seed=0, n=64, obs_dim=4):
         _, _, _, mean = forward_batch(params.actor, o[None])
         a = mean[0] + rng.standard_normal(3)
         lp = float(gaussian_log_prob(a, mean[0], params.log_std))
-        buf.add(o, a, lp, float(rng.standard_normal()), 0.0,
+        buf.add(o, a, lp, float(rng.standard_normal()),
                 float(rng.standard_normal()), bool(rng.random() < 0.1))
     compute_gae(buf, 0.0, 0.99, 0.95)
     return params, buf

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from gateracer.checkpoint import load_checkpoint
 from gateracer.config import RunConfig, TrackSettings
+from gateracer.geometry import track_to_dict
 from gateracer.training import STREAM_NAMES, Trainer, make_streams
 
 
@@ -58,20 +60,33 @@ def test_different_seeds_diverge(tmp_path):
             != (out2 / "metrics.jsonl").read_text())
 
 
-def test_checkpoint_resume_continues_exactly(tmp_path):
+@pytest.mark.parametrize("randomize_per_episode", [False, True])
+def test_checkpoint_resume_continues_exactly(tmp_path, randomize_per_episode):
     """Interrupting after one update and resuming must reproduce the
-    uninterrupted run bit for bit (params and metrics)."""
+    uninterrupted run bit for bit (params and metrics). With a new track
+    per episode, the checkpoint falls inside an episode on a track that
+    differs from the base track. That episode ends one step after the
+    resume and sees only gate 0, which every procedural track shares, so
+    the restored track is compared directly."""
+    def cfg(total_steps):
+        return small_cfg(total_steps=total_steps,
+                         randomize_per_episode=randomize_per_episode)
+
     full_out = tmp_path / "full"
-    tr_full = Trainer(small_cfg(total_steps=4096), seed=5, out_dir=full_out)
+    tr_full = Trainer(cfg(4096), seed=5, out_dir=full_out)
     tr_full.train()
 
     part_out = tmp_path / "part"
-    tr_part = Trainer(small_cfg(total_steps=2048), seed=5, out_dir=part_out)
+    tr_part = Trainer(cfg(2048), seed=5, out_dir=part_out)
     ckpt_path = tr_part.train()
+    env_state = load_checkpoint(ckpt_path)["env"]
+    assert env_state["episode_steps"] > 0
+    if randomize_per_episode:
+        assert env_state["track"] != track_to_dict(tr_part.base_track)
 
     resume_out = tmp_path / "resume"
-    cfg = small_cfg(total_steps=4096)
-    tr_res = Trainer(cfg, seed=5, out_dir=resume_out, resume=ckpt_path)
+    tr_res = Trainer(cfg(4096), seed=5, out_dir=resume_out, resume=ckpt_path)
+    assert track_to_dict(tr_res.env.track) == env_state["track"]
     tr_res.train()
 
     for a, b in zip(tr_full.params.flat_list(), tr_res.params.flat_list()):
