@@ -41,6 +41,10 @@ class HarnessConfig:
     drone_radius: float = 0.3
     metrics_queue_size: int = 4096
 
+    def __post_init__(self):
+        if self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be at least 1")
+
 
 @dataclass
 class RunConfig:

@@ -3,11 +3,13 @@ first-order lag, plus synthetic IMU / GPS readouts."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+GRAVITY = 9.81
+BANK_CAP = math.pi / 6.0  # roll/pitch limit of the banked-turn proxy
 
 
 @dataclass
@@ -49,6 +51,11 @@ class DynamicsConfig:
     imu_noise_std: tuple = (0.0,) * 7
     gps_noise_std: float = 0.0
 
+    def __post_init__(self):
+        for name in ("tau", "dt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass
 class ImuReading:
@@ -68,16 +75,65 @@ def step(state: DroneState, cmd, dt: float, cfg: DynamicsConfig) -> DroneState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     dv = np.asarray(cmd, dtype=np.float64)
-    pos, vel, att, angvel = kernels.dyn_step(
-        state.position, state.velocity, state.attitude, dv, dt,
-        cfg.tau, cfg.command_scale, cfg.v_max, cfg.yaw_rate_max)
+    vel = state.velocity
+    att = state.attitude
+
+    tx = vel[0] + min(max(dv[0], -1.0), 1.0) * cfg.command_scale
+    ty = vel[1] + min(max(dv[1], -1.0), 1.0) * cfg.command_scale
+    tz = vel[2] + min(max(dv[2], -1.0), 1.0) * cfg.command_scale
+    speed = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if speed > cfg.v_max:
+        s = cfg.v_max / speed
+        tx *= s
+        ty *= s
+        tz *= s
+    decay = math.exp(-dt / cfg.tau)
+    new_vel = np.empty(3, dtype=np.float64)
+    new_vel[0] = tx + (vel[0] - tx) * decay
+    new_vel[1] = ty + (vel[1] - ty) * decay
+    new_vel[2] = tz + (vel[2] - tz) * decay
+
+    new_pos = np.empty(3, dtype=np.float64)
+    for i in range(3):
+        new_pos[i] = state.position[i] + 0.5 * (vel[i] + new_vel[i]) * dt
+
+    yaw = att[2]
+    hspeed = math.hypot(new_vel[0], new_vel[1])
+    if hspeed > 1e-6:
+        target_yaw = math.atan2(new_vel[1], new_vel[0])
+        dyaw = _wrap_angle(target_yaw - yaw)
+        max_dyaw = cfg.yaw_rate_max * dt
+        if dyaw > max_dyaw:
+            dyaw = max_dyaw
+        elif dyaw < -max_dyaw:
+            dyaw = -max_dyaw
+        yaw = _wrap_angle(yaw + dyaw)
+
+    ax = (new_vel[0] - vel[0]) / dt
+    ay = (new_vel[1] - vel[1]) / dt
+    a_fwd = ax * math.cos(yaw) + ay * math.sin(yaw)
+    a_lat = -ax * math.sin(yaw) + ay * math.cos(yaw)
+    roll = min(max(math.atan2(a_lat, GRAVITY), -BANK_CAP), BANK_CAP)
+    pitch = min(max(-math.atan2(a_fwd, GRAVITY), -BANK_CAP), BANK_CAP)
+
+    angvel = np.array([(roll - att[0]) / dt, (pitch - att[1]) / dt,
+                       _wrap_angle(yaw - att[2]) / dt])
     return DroneState(
-        position=pos,
-        velocity=vel,
-        attitude=att,
+        position=new_pos,
+        velocity=new_vel,
+        attitude=np.array([roll, pitch, yaw]),
         angular_velocity=angvel,
         time=state.time + dt,
     )
+
+
+def _wrap_angle(a: float) -> float:
+    """Shift an angle by whole turns into [-pi, pi]."""
+    while a > math.pi:
+        a -= 2.0 * math.pi
+    while a < -math.pi:
+        a += 2.0 * math.pi
+    return a
 
 
 def read_imu(state: DroneState, noise_std, rng: np.random.Generator) -> ImuReading:

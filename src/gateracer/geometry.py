@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import kernels
-
 DEFAULT_HALF_WIDTH = 1.5
 DEFAULT_HALF_HEIGHT = 1.5
 DEFAULT_FRAME_THICKNESS = 0.25
@@ -95,20 +93,98 @@ def default_track(seed: int, n_gates: int = 10,
 
 def segment_gate_crossing(p0, p1, gate: Gate):
     """Intersection point if the directed segment crosses the gate plane
-    along the gate normal inside the opening; None otherwise."""
-    hit, point = kernels.gate_crossing(
-        np.asarray(p0, dtype=np.float64), np.asarray(p1, dtype=np.float64),
-        gate.center, gate.yaw, gate.half_width, gate.half_height)
-    return point if hit else None
+    along the gate normal inside the opening; None otherwise.
+
+    The segment must go from the negative side of the gate plane to the
+    non-negative side, and the in-plane offsets of the intersection must
+    fit the opening.
+    """
+    p0 = np.asarray(p0, dtype=np.float64)
+    p1 = np.asarray(p1, dtype=np.float64)
+    center = gate.center
+    nx = math.cos(gate.yaw)
+    ny = math.sin(gate.yaw)
+    d0 = (p0[0] - center[0]) * nx + (p0[1] - center[1]) * ny
+    d1 = (p1[0] - center[0]) * nx + (p1[1] - center[1]) * ny
+    if not (d0 < 0.0 and d1 >= 0.0):
+        return None
+    t = d0 / (d0 - d1)
+    px = p0[0] + t * (p1[0] - p0[0])
+    py = p0[1] + t * (p1[1] - p0[1])
+    pz = p0[2] + t * (p1[2] - p0[2])
+    # in-plane axes: u horizontal (-sin, cos, 0), v vertical (0, 0, 1)
+    u = -(px - center[0]) * ny + (py - center[1]) * nx
+    v = pz - center[2]
+    if abs(u) <= gate.half_width and abs(v) <= gate.half_height:
+        return np.array([px, py, pz])
+    return None
+
+
+def _abs_linear_interval(a, b, c):
+    """Solve |a + b*t| <= c for t; returns (lo, hi), empty as lo > hi."""
+    if b == 0.0:
+        if abs(a) <= c:
+            return -np.inf, np.inf
+        return 1.0, 0.0
+    t0 = (-c - a) / b
+    t1 = (c - a) / b
+    if t0 <= t1:
+        return t0, t1
+    return t1, t0
 
 
 def segment_frame_collision(p0, p1, gate: Gate, drone_radius: float) -> bool:
+    """True iff the radius-inflated segment touches the gate frame band.
+
+    A point collides when it lies inside the plane slab
+    |dist| <= frame_thickness/2 + radius and its in-plane offsets fall in
+    the annulus between the inner opening and the outer rectangle.
+    """
     if drone_radius <= 0:
         raise ValueError("drone_radius must be positive")
-    return bool(kernels.frame_collision(
-        np.asarray(p0, dtype=np.float64), np.asarray(p1, dtype=np.float64),
-        gate.center, gate.yaw, gate.half_width, gate.half_height,
-        gate.frame_thickness, drone_radius))
+    p0 = np.asarray(p0, dtype=np.float64)
+    p1 = np.asarray(p1, dtype=np.float64)
+    center = gate.center
+    nx = math.cos(gate.yaw)
+    ny = math.sin(gate.yaw)
+    rx0 = p0[0] - center[0]
+    ry0 = p0[1] - center[1]
+    rz0 = p0[2] - center[2]
+    dx = p1[0] - p0[0]
+    dy = p1[1] - p0[1]
+    dz = p1[2] - p0[2]
+    # linear coordinates along the segment: f(t) = a + b t
+    d_a = rx0 * nx + ry0 * ny
+    d_b = dx * nx + dy * ny
+    u_a = -rx0 * ny + ry0 * nx
+    u_b = -dx * ny + dy * nx
+    v_a = rz0
+    v_b = dz
+
+    half_width, half_height = gate.half_width, gate.half_height
+    frame_thickness = gate.frame_thickness
+    slab = frame_thickness * 0.5 + drone_radius
+    lo, hi = 0.0, 1.0
+    l2, h2 = _abs_linear_interval(d_a, d_b, slab)
+    lo = max(lo, l2)
+    hi = min(hi, h2)
+    l2, h2 = _abs_linear_interval(u_a, u_b, half_width + frame_thickness)
+    lo = max(lo, l2)
+    hi = min(hi, h2)
+    l2, h2 = _abs_linear_interval(v_a, v_b, half_height + frame_thickness)
+    lo = max(lo, l2)
+    hi = min(hi, h2)
+    if lo > hi:
+        return False
+    # inside [lo, hi] the point is in the slab and the outer rectangle;
+    # collision unless that whole interval sits in the inner opening
+    il, ih = _abs_linear_interval(u_a, u_b, half_width)
+    jl, jh = _abs_linear_interval(v_a, v_b, half_height)
+    inner_lo = max(il, jl)
+    inner_hi = min(ih, jh)
+    if inner_lo > inner_hi:
+        return True
+    return bool(lo < inner_lo or hi > inner_hi)
 
 
 def sample_spawn(track: Track, target_gate: int, rng: np.random.Generator):

@@ -1,274 +1,5 @@
-"""Hot numeric kernels, numba-compiled by default.
-
-Set GATERACER_NUMBA=0 to run the same code as plain numpy (the functions
-are written so both paths compute identical arithmetic; the fallback is
-used on machines without a working numba install and by the benchmark).
-"""
-
-import math
-import os
-
-import numpy as np
-
-_flag = os.environ.get("GATERACER_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "no", "off")
+"""Kept only for the benchmark's machine facts, which still read
+`kernels.NUMBA_ENABLED`. Every computation runs as plain numpy in the
+module that uses it; there is no compiled path."""
 
 NUMBA_ENABLED = False
-if _want_numba:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-njit = _njit
-
-
-@njit(cache=True)
-def gae_scan(rewards, values, dones, bootstrap, gamma, lam):
-    """Backward GAE recursion; accumulation is cut at done flags."""
-    n = rewards.shape[0]
-    adv = np.empty(n, dtype=np.float64)
-    last = 0.0
-    for t in range(n - 1, -1, -1):
-        nonterminal = 1.0 - dones[t]
-        if t == n - 1:
-            next_value = bootstrap
-        else:
-            next_value = values[t + 1]
-        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
-        last = delta + gamma * lam * nonterminal * last
-        adv[t] = last
-    return adv
-
-
-@njit(cache=True)
-def mlp3_forward_1d(x, w1, b1, w2, b2, w3, b3, w4, b4):
-    """Single-input forward pass of the 3-hidden-layer tanh MLP."""
-    h1 = np.tanh(np.dot(x, w1) + b1)
-    h2 = np.tanh(np.dot(h1, w2) + b2)
-    h3 = np.tanh(np.dot(h2, w3) + b3)
-    return np.dot(h3, w4) + b4
-
-
-@njit(cache=True)
-def mlp3_forward(x, w1, b1, w2, b2, w3, b3, w4, b4):
-    """Batched forward pass; returns hidden activations for backprop."""
-    h1 = np.tanh(np.dot(x, w1) + b1)
-    h2 = np.tanh(np.dot(h1, w2) + b2)
-    h3 = np.tanh(np.dot(h2, w3) + b3)
-    out = np.dot(h3, w4) + b4
-    return h1, h2, h3, out
-
-
-@njit(cache=True)
-def mlp3_backward(x, h1, h2, h3, dout, w2, w3, w4):
-    """Gradients of the 3-hidden tanh MLP given d(loss)/d(output)."""
-    dw4 = np.dot(h3.T, dout)
-    db4 = np.sum(dout, axis=0)
-    dz3 = np.dot(dout, w4.T) * (1.0 - h3 * h3)
-    dw3 = np.dot(h2.T, dz3)
-    db3 = np.sum(dz3, axis=0)
-    dz2 = np.dot(dz3, w3.T) * (1.0 - h2 * h2)
-    dw2 = np.dot(h1.T, dz2)
-    db2 = np.sum(dz2, axis=0)
-    dz1 = np.dot(dz2, w2.T) * (1.0 - h1 * h1)
-    dw1 = np.dot(x.T, dz1)
-    db1 = np.sum(dz1, axis=0)
-    return dw1, db1, dw2, db2, dw3, db3, dw4, db4
-
-
-@njit(cache=True)
-def gate_crossing(p0, p1, center, yaw, half_width, half_height):
-    """Directed segment/gate-plane crossing test.
-
-    Returns (hit, point). The segment must go from the negative side of
-    the gate plane to the non-negative side (travel along the normal),
-    and the in-plane offsets of the intersection must fit the opening.
-    """
-    nx = math.cos(yaw)
-    ny = math.sin(yaw)
-    d0 = (p0[0] - center[0]) * nx + (p0[1] - center[1]) * ny
-    d1 = (p1[0] - center[0]) * nx + (p1[1] - center[1]) * ny
-    point = np.zeros(3, dtype=np.float64)
-    if not (d0 < 0.0 and d1 >= 0.0):
-        return False, point
-    t = d0 / (d0 - d1)
-    px = p0[0] + t * (p1[0] - p0[0])
-    py = p0[1] + t * (p1[1] - p0[1])
-    pz = p0[2] + t * (p1[2] - p0[2])
-    # in-plane axes: u horizontal (-sin, cos, 0), v vertical (0, 0, 1)
-    u = -(px - center[0]) * ny + (py - center[1]) * nx
-    v = pz - center[2]
-    if abs(u) <= half_width and abs(v) <= half_height:
-        point[0] = px
-        point[1] = py
-        point[2] = pz
-        return True, point
-    return False, point
-
-
-@njit(cache=True)
-def _abs_linear_interval(a, b, c):
-    """Solve |a + b*t| <= c for t; returns (lo, hi), empty as lo > hi."""
-    if b == 0.0:
-        if abs(a) <= c:
-            return -np.inf, np.inf
-        return 1.0, 0.0
-    t0 = (-c - a) / b
-    t1 = (c - a) / b
-    if t0 <= t1:
-        return t0, t1
-    return t1, t0
-
-
-@njit(cache=True)
-def frame_collision(p0, p1, center, yaw, half_width, half_height,
-                    frame_thickness, radius):
-    """True iff the radius-inflated segment touches the gate frame band.
-
-    A point collides when it lies inside the plane slab
-    |dist| <= frame_thickness/2 + radius and its in-plane offsets fall in
-    the annulus between the inner opening and the outer rectangle.
-    """
-    nx = math.cos(yaw)
-    ny = math.sin(yaw)
-    rx0 = p0[0] - center[0]
-    ry0 = p0[1] - center[1]
-    rz0 = p0[2] - center[2]
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
-    dz = p1[2] - p0[2]
-    # linear coordinates along the segment: f(t) = a + b t
-    d_a = rx0 * nx + ry0 * ny
-    d_b = dx * nx + dy * ny
-    u_a = -rx0 * ny + ry0 * nx
-    u_b = -dx * ny + dy * nx
-    v_a = rz0
-    v_b = dz
-
-    slab = frame_thickness * 0.5 + radius
-    lo, hi = 0.0, 1.0
-    l2, h2 = _abs_linear_interval(d_a, d_b, slab)
-    lo = max(lo, l2)
-    hi = min(hi, h2)
-    l2, h2 = _abs_linear_interval(u_a, u_b, half_width + frame_thickness)
-    lo = max(lo, l2)
-    hi = min(hi, h2)
-    l2, h2 = _abs_linear_interval(v_a, v_b, half_height + frame_thickness)
-    lo = max(lo, l2)
-    hi = min(hi, h2)
-    if lo > hi:
-        return False
-    # inside [lo, hi] the point is in the slab and the outer rectangle;
-    # collision unless that whole interval sits in the inner opening
-    il, ih = _abs_linear_interval(u_a, u_b, half_width)
-    jl, jh = _abs_linear_interval(v_a, v_b, half_height)
-    inner_lo = max(il, jl)
-    inner_hi = min(ih, jh)
-    if inner_lo > inner_hi:
-        return True
-    return lo < inner_lo or hi > inner_hi
-
-
-@njit(cache=True)
-def dyn_step(pos, vel, att, dv, dt, tau, command_scale, v_max,
-             yaw_rate_max):
-    """One first-order-lag velocity step; returns pos', vel', att', angvel'."""
-    g = 9.81
-    bank_cap = math.pi / 6.0
-
-    tx = vel[0] + min(max(dv[0], -1.0), 1.0) * command_scale
-    ty = vel[1] + min(max(dv[1], -1.0), 1.0) * command_scale
-    tz = vel[2] + min(max(dv[2], -1.0), 1.0) * command_scale
-    speed = math.sqrt(tx * tx + ty * ty + tz * tz)
-    if speed > v_max:
-        s = v_max / speed
-        tx *= s
-        ty *= s
-        tz *= s
-    decay = math.exp(-dt / tau)
-    new_vel = np.empty(3, dtype=np.float64)
-    new_vel[0] = tx + (vel[0] - tx) * decay
-    new_vel[1] = ty + (vel[1] - ty) * decay
-    new_vel[2] = tz + (vel[2] - tz) * decay
-
-    new_pos = np.empty(3, dtype=np.float64)
-    for i in range(3):
-        new_pos[i] = pos[i] + 0.5 * (vel[i] + new_vel[i]) * dt
-
-    yaw = att[2]
-    hspeed = math.hypot(new_vel[0], new_vel[1])
-    if hspeed > 1e-6:
-        target_yaw = math.atan2(new_vel[1], new_vel[0])
-        dyaw = target_yaw - yaw
-        while dyaw > math.pi:
-            dyaw -= 2.0 * math.pi
-        while dyaw < -math.pi:
-            dyaw += 2.0 * math.pi
-        max_dyaw = yaw_rate_max * dt
-        if dyaw > max_dyaw:
-            dyaw = max_dyaw
-        elif dyaw < -max_dyaw:
-            dyaw = -max_dyaw
-        yaw = yaw + dyaw
-        while yaw > math.pi:
-            yaw -= 2.0 * math.pi
-        while yaw < -math.pi:
-            yaw += 2.0 * math.pi
-
-    ax = (new_vel[0] - vel[0]) / dt
-    ay = (new_vel[1] - vel[1]) / dt
-    a_fwd = ax * math.cos(yaw) + ay * math.sin(yaw)
-    a_lat = -ax * math.sin(yaw) + ay * math.cos(yaw)
-    roll = math.atan2(a_lat, g)
-    pitch = -math.atan2(a_fwd, g)
-    roll = min(max(roll, -bank_cap), bank_cap)
-    pitch = min(max(pitch, -bank_cap), bank_cap)
-
-    new_att = np.empty(3, dtype=np.float64)
-    new_att[0] = roll
-    new_att[1] = pitch
-    new_att[2] = yaw
-
-    angvel = np.empty(3, dtype=np.float64)
-    dpsi = yaw - att[2]
-    while dpsi > math.pi:
-        dpsi -= 2.0 * math.pi
-    while dpsi < -math.pi:
-        dpsi += 2.0 * math.pi
-    angvel[0] = (roll - att[0]) / dt
-    angvel[1] = (pitch - att[1]) / dt
-    angvel[2] = dpsi / dt
-    return new_pos, new_vel, new_att, angvel
-
-
-def warmup():
-    """Force JIT compilation of every kernel (no-op on the numpy path)."""
-    p = np.zeros(3)
-    q = np.ones(3)
-    gae_scan(np.ones(4), np.zeros(4), np.zeros(4), 0.0, 0.99, 0.95)
-    w = np.zeros((3, 4))
-    b = np.zeros(4)
-    w2 = np.zeros((4, 4))
-    wo = np.zeros((4, 2))
-    bo = np.zeros(2)
-    mlp3_forward_1d(np.zeros(3), w, b, w2, b, w2, b, wo, bo)
-    h1, h2, h3, out = mlp3_forward(np.zeros((2, 3)), w, b, w2, b, w2, b, wo, bo)
-    mlp3_backward(np.zeros((2, 3)), h1, h2, h3, np.zeros((2, 2)), w2, w2, wo)
-    gate_crossing(p - q, q, np.zeros(3), 0.0, 1.5, 1.5)
-    frame_collision(p - q, q, np.zeros(3), 0.0, 1.5, 1.5, 0.25, 0.3)
-    dyn_step(p, p, p, q, 0.05, 0.3, 2.0, 15.0, math.pi)

@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
 HIDDEN_SIZE = 256
 ACTION_DIM = 3
 LOG_STD_MIN = -5.0
@@ -86,27 +84,48 @@ def init_policy(rng: np.random.Generator, obs_dim: int,
     return PolicyParams(actor=actor, log_std=np.zeros(action_dim), critic=critic)
 
 
+def _mlp_forward(x, w1, b1, w2, b2, w3, b3, w4, b4):
+    """3-hidden-layer tanh MLP on one input or a batch; returns the hidden
+    activations for backprop and the output."""
+    h1 = np.tanh(np.dot(x, w1) + b1)
+    h2 = np.tanh(np.dot(h1, w2) + b2)
+    h3 = np.tanh(np.dot(h2, w3) + b3)
+    return h1, h2, h3, np.dot(h3, w4) + b4
+
+
 def forward(params: PolicyParams, obs: np.ndarray):
     """(mean, log_std, value) for a single observation."""
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (params.obs_dim,):
         raise ValueError(f"expected obs shape ({params.obs_dim},), got {obs.shape}")
-    mean = kernels.mlp3_forward_1d(obs, *params.actor)
-    value = kernels.mlp3_forward_1d(obs, *params.critic)
+    mean = _mlp_forward(obs, *params.actor)[3]
+    value = _mlp_forward(obs, *params.critic)[3]
     return mean, params.log_std.copy(), float(value[0])
 
 
 def forward_batch(net: list[np.ndarray], obs: np.ndarray):
     """Batched MLP forward; returns (h1, h2, h3, out)."""
-    return kernels.mlp3_forward(np.ascontiguousarray(obs), *net)
+    return _mlp_forward(np.ascontiguousarray(obs), *net)
 
 
 def backward_batch(net: list[np.ndarray], obs, h1, h2, h3, dout):
-    """Parameter gradients matching the init_mlp layout."""
-    grads = kernels.mlp3_backward(np.ascontiguousarray(obs), h1, h2, h3,
-                                  np.ascontiguousarray(dout),
-                                  net[2], net[4], net[6])
-    return list(grads)
+    """Parameter gradients, given d(loss)/d(output), in the init_mlp
+    layout."""
+    x = np.ascontiguousarray(obs)
+    dout = np.ascontiguousarray(dout)
+    w2, w3, w4 = net[2], net[4], net[6]
+    dw4 = np.dot(h3.T, dout)
+    db4 = np.sum(dout, axis=0)
+    dz3 = np.dot(dout, w4.T) * (1.0 - h3 * h3)
+    dw3 = np.dot(h2.T, dz3)
+    db3 = np.sum(dz3, axis=0)
+    dz2 = np.dot(dz3, w3.T) * (1.0 - h2 * h2)
+    dw2 = np.dot(h1.T, dz2)
+    db2 = np.sum(dz2, axis=0)
+    dz1 = np.dot(dz2, w2.T) * (1.0 - h1 * h1)
+    dw1 = np.dot(x.T, dz1)
+    db1 = np.sum(dz1, axis=0)
+    return [dw1, db1, dw2, db2, dw3, db3, dw4, db4]
 
 
 def gaussian_log_prob(action, mean, log_std) -> np.ndarray:

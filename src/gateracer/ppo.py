@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .networks import (Adam, PolicyParams, backward_batch, clip_grads_global,
                        forward_batch, gaussian_entropy, gaussian_log_prob,
                        LOG_STD_MAX, LOG_STD_MIN)
@@ -30,6 +29,9 @@ class TrainConfig:
     lr_decay: bool = False
 
     def __post_init__(self):
+        for name in ("rollout_steps", "minibatch_size", "epochs_per_update"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if not (0 < self.clip_epsilon < 1):
             raise ValueError("clip_epsilon must be in (0, 1)")
         if not (0 < self.gamma <= 1):
@@ -84,9 +86,18 @@ def compute_gae(buffer: RolloutBuffer, bootstrap_value: float,
     dones) and returns = A_t + V(s_t)."""
     if not buffer.full:
         raise ValueError("buffer must be full before computing GAE")
-    buffer.advantages = kernels.gae_scan(
-        buffer.rewards, buffer.values, buffer.dones,
-        float(bootstrap_value), gamma, lam)
+    rewards, values, dones = buffer.rewards, buffer.values, buffer.dones
+    n = rewards.shape[0]
+    adv = np.empty(n, dtype=np.float64)
+    next_value = float(bootstrap_value)
+    last = 0.0
+    for t in range(n - 1, -1, -1):
+        nonterminal = 1.0 - dones[t]
+        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
+        last = delta + gamma * lam * nonterminal * last
+        adv[t] = last
+        next_value = values[t]
+    buffer.advantages = adv
     buffer.returns = buffer.advantages + buffer.values
     buffer.advantages_ready = True
     return buffer

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gateracer import kernels
 from gateracer.checkpoint import load_checkpoint
 from gateracer.config import RunConfig, TrackSettings, resolve_track
 from gateracer.env import OBS_DIM
@@ -114,7 +113,6 @@ def _segment_coeffs(p0, seg, centers, yaws):
 
 def test_criterion_1_geometry_oracle(capfd):
     with criterion(1, "geometry predicates match dense-sampling oracle", capfd):
-        kernels.warmup()
         rng = np.random.default_rng(2026)
         n = 10_000
         hw, hh, ft, radius = 1.5, 1.5, 0.25, 0.3

@@ -84,6 +84,24 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("block,key,value", [
+    ("train", "minibatch_size", 0),
+    ("train", "minibatch_size", -256),
+    ("train", "rollout_steps", 0),
+    ("train", "epochs_per_update", 0),
+    ("dynamics", "tau", 0),
+    ("dynamics", "dt", 0),
+    ("harness", "checkpoint_interval", 0),
+])
+def test_non_positive_config_value_is_exit_1(tmp_path, capsys, block, key,
+                                             value):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({block: {key: value}}))
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert f"error: invalid '{block}' block: {key}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trained_ckpt(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
