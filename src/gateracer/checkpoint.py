@@ -1,141 +1,90 @@
-"""Self-describing binary checkpoints: magic string, format version,
-length-prefixed named sections, weights as raw little-endian float64; and
-the policy's layout inside them."""
+"""Checkpoints as an uncompressed zip, the NumPy `.npz` layout: one JSON
+member holding the JSON sections, the format version and a manifest of the
+arrays, and one `.npy` member per float64 array. `zipfile` checks each
+member's CRC-32 as it reads it. Also the policy's layout inside them."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import struct
+import zipfile
+import zlib
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .networks import PolicyParams
 from .normalization import RunningStats
 
-MAGIC = b"GRCKPT\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_V1_PREFIX = b"GRCKPT\x00"  # how every version-1 checkpoint starts
+_HEADER_MEMBER = "checkpoint.json"
+_JSON_KEYS = ("counters", "config", "track", "scalars", "rng", "env")
+# what the zip and `.npy` readers raise on a damaged file
+_READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
+                RuntimeError, KeyError, ValueError)
 
 
 class CheckpointError(Exception):
     pass
 
 
-def _pack_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True).encode("utf-8")
-
-
-def _pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
-    out = [struct.pack("<I", len(arrays))]
-    for name in sorted(arrays):
-        a = np.ascontiguousarray(arrays[name], dtype="<f8")
-        nb = name.encode("utf-8")
-        out.append(struct.pack("<H", len(nb)))
-        out.append(nb)
-        out.append(struct.pack("<B", a.ndim))
-        for d in a.shape:
-            out.append(struct.pack("<Q", d))
-        out.append(a.tobytes())
-    return b"".join(out)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError("checkpoint file is truncated or corrupt")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self):
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
-
-
-def _unpack_arrays(payload: bytes) -> dict[str, np.ndarray]:
-    r = _Reader(payload)
-    n = r.u32()
-    arrays = {}
-    for _ in range(n):
-        name = r.take(r.u16()).decode("utf-8")
-        ndim = r.u8()
-        shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(count * 8)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if not r.exhausted:
-        raise CheckpointError("trailing bytes in arrays section")
-    return arrays
-
-
-# state keys -> (kind) ; "json" sections round-trip through sorted JSON
-_SECTIONS = (
-    ("counters", "json"),
-    ("config", "json"),
-    ("track", "json"),
-    ("arrays", "arrays"),
-    ("scalars", "json"),
-    ("rng", "json"),
-    ("env", "json"),
-)
-
-
 def save_checkpoint(path, state: dict) -> None:
     """`state` keys: counters, config, track, scalars, rng, env (JSON-able
     dicts) and arrays (name -> float64 ndarray)."""
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    for name, kind in _SECTIONS:
-        payload = (_pack_arrays(state[name]) if kind == "arrays"
-                   else _pack_json(state[name]))
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<Q", len(payload)))
-        chunks.append(payload)
-    blob = b"".join(chunks)
+    arrays = state["arrays"]
+    header = {name: state[name] for name in _JSON_KEYS}
+    header.update(format_version=FORMAT_VERSION, arrays=sorted(arrays))
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
+    # a ZipInfo built from a name carries a fixed 1980 timestamp, so the
+    # same state always gives the same bytes
+    with zipfile.ZipFile(tmp, "w") as zf:
+        zf.writestr(zipfile.ZipInfo(_HEADER_MEMBER),
+                    json.dumps(header, sort_keys=True))
+        for name in sorted(arrays):
+            a = np.ascontiguousarray(arrays[name], dtype="<f8")
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                npy_format.write_array(fh, a, allow_pickle=False)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> dict:
     with open(path, "rb") as fh:
         data = fh.read()
-    r = _Reader(data)
-    if r.take(len(MAGIC)) != MAGIC:
+    if data.startswith(_V1_PREFIX):
+        raise CheckpointError("checkpoint format version mismatch: expected "
+                              f"{FORMAT_VERSION}, found 1")
+    if not data.startswith(b"PK\x03\x04"):
         raise CheckpointError("not a checkpoint file (bad magic)")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version mismatch: expected {FORMAT_VERSION}, "
-            f"found {version}")
-    state = {}
-    for name, kind in _SECTIONS:
-        got = r.take(r.u16()).decode("utf-8")
-        if got != name:
-            raise CheckpointError(f"unexpected section '{got}' (wanted '{name}')")
-        payload = r.take(r.u64())
-        state[name] = (_unpack_arrays(payload) if kind == "arrays"
-                       else json.loads(payload.decode("utf-8")))
-    if not r.exhausted:
-        raise CheckpointError("trailing bytes after final section")
+    # zipfile finds the end-of-archive record anywhere near the end, so
+    # appended bytes and a cut-off tail would both go unnoticed
+    if data[-22:-18] != b"PK\x05\x06":
+        raise CheckpointError("trailing bytes or truncation after the zip "
+                              "end-of-archive record")
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            header = json.loads(zf.read(_HEADER_MEMBER))
+            version = header["format_version"]
+            if version != FORMAT_VERSION:
+                raise CheckpointError(
+                    "checkpoint format version mismatch: expected "
+                    f"{FORMAT_VERSION}, found {version}")
+            names = header["arrays"]
+            if (sorted(zf.namelist())
+                    != sorted([_HEADER_MEMBER] + [f"{n}.npy" for n in names])):
+                raise CheckpointError("zip members do not match the manifest")
+            state = {name: header[name] for name in _JSON_KEYS}
+            state["arrays"] = {}
+            for name in names:
+                with zf.open(f"{name}.npy") as fh:
+                    state["arrays"][name] = npy_format.read_array(
+                        fh, allow_pickle=False)
+                    # reading to the end is what makes zipfile check the CRC
+                    if fh.read():
+                        raise CheckpointError(f"trailing bytes in array '{name}'")
+    except _READ_ERRORS as exc:
+        raise CheckpointError(f"checkpoint file is corrupt: {exc!r}") from exc
     return state
 
 

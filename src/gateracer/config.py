@@ -22,7 +22,6 @@ class ConfigError(Exception):
 @dataclass
 class OpponentSettings:
     cruise_speed: float = 4.0
-    arrival_radius: float = 0.5
     approach_offset: float = 1.0
 
 
@@ -66,6 +65,10 @@ _BLOCKS = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _build_block(cls, data: dict, name: str):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - fields
@@ -78,6 +81,9 @@ def _build_block(cls, data: dict, name: str):
         v = data[f.name]
         if isinstance(v, list):
             v = tuple(v)
+        if _is_number(f.default) and not _is_number(v):
+            raise ConfigError(f"invalid '{name}' block: {f.name} must be a "
+                              f"number, got {v!r}")
         coerced[f.name] = v
     try:
         return cls(**coerced)

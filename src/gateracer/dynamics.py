@@ -55,6 +55,13 @@ class DynamicsConfig:
         for name in ("tau", "dt"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        imu = self.imu_noise_std
+        if (not isinstance(imu, (tuple, list)) or len(imu) != 7
+                or not all(isinstance(x, (int, float)) and x >= 0 for x in imu)):
+            raise ValueError("imu_noise_std must be 7 non-negative numbers, "
+                             f"got {imu!r}")
+        if not self.gps_noise_std >= 0:
+            raise ValueError("gps_noise_std must be non-negative")
 
 
 @dataclass

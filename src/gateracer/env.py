@@ -93,8 +93,7 @@ class RacingEnv:
         self.drone_radius = drone_radius
         self.plan = opponent.plan(
             track, cruise_speed=self.opp_cfg.cruise_speed,
-            approach_offset=self.opp_cfg.approach_offset,
-            arrival_radius=self.opp_cfg.arrival_radius)
+            approach_offset=self.opp_cfg.approach_offset)
 
         self.agent: DroneState | None = None
         self.opp: opponent.FollowerState | None = None

@@ -10,11 +10,11 @@ from .env import RacingEnv
 from .geometry import Track, sample_spawn, segment_gate_crossing, track_from_dict
 from .networks import forward, sample_action
 from .normalization import normalize_observation
-from .rewards import TERM_ALL_GATES, resolved_time_limit
+from .rewards import TERM_ALL_GATES
 
 
 def _setup(ckpt_state: dict, episodes: int, track: Track | None, seed: int):
-    """Frozen policy, config, track and env for `episodes` episodes; the
+    """Frozen policy, track and env for `episodes` episodes; the
     seed fans out into spawn, sensor and action streams."""
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
@@ -27,7 +27,7 @@ def _setup(ckpt_state: dict, episodes: int, track: Track | None, seed: int):
                     opponent_cfg=cfg.opponent, spawn_rng=spawn_rng,
                     sensor_rng=sensor_rng,
                     drone_radius=cfg.harness.drone_radius)
-    return params, stats, cfg, track, env, action_rng
+    return params, stats, track, env, action_rng
 
 
 def _policy_action(params, stats, obs_raw, deterministic, rng):
@@ -60,8 +60,8 @@ def evaluate(ckpt_state: dict, episodes: int, deterministic: bool = False,
              yaw_error: float = 0.0) -> dict:
     """Run episodes with frozen normalization statistics; spawns are drawn
     per episode from the spawn band (optionally displaced)."""
-    params, stats, _, track, env, action_rng = _setup(ckpt_state, episodes,
-                                                      track, seed)
+    params, stats, track, env, action_rng = _setup(ckpt_state, episodes,
+                                                   track, seed)
     completions = 0
     gates, times, collisions = [], [], []
     for _ in range(episodes):
@@ -97,10 +97,9 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
     """Agent and opponent step in lockstep from the same spawn; winner is
     the first to pass every gate, ties go to the opponent. Agent
     termination before finishing counts as a DNF."""
-    params, stats, cfg, track, env, action_rng = _setup(ckpt_state, episodes,
-                                                        track, seed)
+    params, stats, track, env, action_rng = _setup(ckpt_state, episodes,
+                                                   track, seed)
     agent_wins = opponent_wins = dnfs = 0
-    hard_time_cap = 4.0 * resolved_time_limit(cfg.reward, track)
     for _ in range(episodes):
         obs_raw = env.reset()
         opp_target = 0
@@ -123,8 +122,6 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
             elif agent_finished:
                 outcome = "agent"
             elif done:
-                outcome = "dnf"
-            elif env.agent.time > hard_time_cap:
                 outcome = "dnf"
             else:
                 obs_raw = env.observe()

@@ -11,7 +11,6 @@ from .dynamics import DroneState
 from .geometry import Track
 
 DEFAULT_CRUISE_SPEED = 4.0
-DEFAULT_ARRIVAL_RADIUS = 0.5
 DEFAULT_APPROACH_OFFSET = 1.0
 
 
@@ -19,20 +18,18 @@ DEFAULT_APPROACH_OFFSET = 1.0
 class WaypointPlan:
     waypoints: np.ndarray  # (n, 3)
     cruise_speed: float = DEFAULT_CRUISE_SPEED
-    arrival_radius: float = DEFAULT_ARRIVAL_RADIUS
     gate_waypoint_indices: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         self.waypoints = np.asarray(self.waypoints, dtype=np.float64)
         if len(self.waypoints) == 0:
             raise ValueError("plan needs at least one waypoint")
-        if self.cruise_speed <= 0 or self.arrival_radius <= 0:
-            raise ValueError("cruise_speed and arrival_radius must be positive")
+        if self.cruise_speed <= 0:
+            raise ValueError("cruise_speed must be positive")
 
 
 def plan(track: Track, cruise_speed: float = DEFAULT_CRUISE_SPEED,
-         approach_offset: float = DEFAULT_APPROACH_OFFSET,
-         arrival_radius: float = DEFAULT_ARRIVAL_RADIUS) -> WaypointPlan:
+         approach_offset: float = DEFAULT_APPROACH_OFFSET) -> WaypointPlan:
     """Each gate contributes an approach point (offset back along the
     inbound normal, guaranteeing a normal-direction crossing) followed by
     the gate center."""
@@ -47,7 +44,6 @@ def plan(track: Track, cruise_speed: float = DEFAULT_CRUISE_SPEED,
     return WaypointPlan(
         waypoints=np.array(waypoints),
         cruise_speed=cruise_speed,
-        arrival_radius=arrival_radius,
         gate_waypoint_indices=gate_indices,
     )
 
@@ -70,9 +66,9 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
     A waypoint is consumed only when the remaining distance fits in the
     step's time budget, and the exact time for that distance is charged,
     so arrival times track the closed-form polyline schedule without
-    drift. (Switching early anywhere inside arrival_radius would skip up
-    to radius/speed seconds per waypoint.) After the last waypoint:
-    hover.
+    drift. (Switching to the next waypoint anywhere within a radius of the
+    current one would skip up to radius/speed seconds per waypoint.) After
+    the last waypoint: hover.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -403,8 +403,7 @@ def test_criterion_8_opponent_baseline(capfd):
         rng = np.random.default_rng(0)
         spawn = sample_spawn(track, 0, rng)
         p = plan(track, cruise_speed=cfg.opponent.cruise_speed,
-                 approach_offset=cfg.opponent.approach_offset,
-                 arrival_radius=cfg.opponent.arrival_radius)
+                 approach_offset=cfg.opponent.approach_offset)
         expected = expected_gate_times(p, spawn.position)
 
         dt = cfg.dynamics.dt

@@ -1,8 +1,14 @@
+import json
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
-from gateracer.checkpoint import (CheckpointError, FORMAT_VERSION, MAGIC,
+from gateracer.checkpoint import (CheckpointError, FORMAT_VERSION,
                                   load_checkpoint, save_checkpoint)
+
+JSON_KEYS = ("counters", "config", "track", "scalars", "rng", "env")
 
 
 def sample_state(rng):
@@ -25,7 +31,7 @@ def test_roundtrip_bitexact(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(path, state)
     loaded = load_checkpoint(path)
-    for key in ("counters", "config", "track", "scalars", "rng", "env"):
+    for key in JSON_KEYS:
         assert loaded[key] == state[key]
     assert set(loaded["arrays"]) == set(state["arrays"])
     for name, arr in state["arrays"].items():
@@ -51,14 +57,29 @@ def test_bad_magic(tmp_path):
 
 
 def test_version_mismatch_names_versions(tmp_path):
-    import struct
-
     path = tmp_path / "v.bin"
-    path.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION + 1))
+    save_checkpoint(path, sample_state(np.random.default_rng(4)))
+    with zipfile.ZipFile(path) as zf:
+        members = {info: zf.read(info) for info in zf.infolist()}
+    with zipfile.ZipFile(path, "w") as zf:
+        for info, data in members.items():
+            if info.filename.endswith(".json"):
+                header = json.loads(data)
+                header["format_version"] = FORMAT_VERSION + 1
+                data = json.dumps(header)
+            zf.writestr(info, data)
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
     assert str(FORMAT_VERSION) in str(err.value)
     assert str(FORMAT_VERSION + 1) in str(err.value)
+
+
+def test_v1_file_is_rejected_naming_versions(tmp_path):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"GRCKPT\x00" + struct.pack("<I", 1) + b"\x00" * 64)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert "1" in str(err.value) and "2" in str(err.value)
 
 
 def test_truncated_file(tmp_path):
@@ -85,3 +106,62 @@ def test_trailing_garbage(tmp_path):
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         load_checkpoint("/nonexistent/checkpoint.bin")
+
+
+def test_every_bit_flip_raises_or_loads_the_same_state(tmp_path):
+    """No single-bit flip anywhere in the file loads a different state,
+    and no strict prefix of the file loads at all."""
+    state = sample_state(np.random.default_rng(5))
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, state)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for i in range(len(data) * 8):
+        flipped = bytearray(data)
+        flipped[i // 8] ^= 1 << (i % 8)
+        bad.write_bytes(flipped)
+        try:
+            loaded = load_checkpoint(bad)
+        except CheckpointError:
+            continue
+        for key in JSON_KEYS:
+            assert loaded[key] == state[key], f"bit {i}: section {key}"
+        assert loaded["arrays"].keys() == state["arrays"].keys(), f"bit {i}"
+        for name, arr in state["arrays"].items():
+            got = loaded["arrays"][name]
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                arr.dtype, arr.shape, arr.tobytes()), f"bit {i}: array {name}"
+    for n in range(len(data)):
+        bad.write_bytes(data[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+
+
+def test_shrunken_array_shape_raises(tmp_path):
+    """An array larger than zipfile's read-ahead, whose `.npy` header
+    lost one bit of its shape, must still fail the member's CRC."""
+    state = sample_state(np.random.default_rng(6))
+    state["arrays"]["w"] = np.arange(9000.0)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, state)
+    data = path.read_bytes()
+    assert data.count(b"(9000,)") == 1
+    path.write_bytes(data.replace(b"(9000,)", b"(8000,)"))  # '9' ^ 1 == '8'
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_members_must_match_manifest(tmp_path, change):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, sample_state(np.random.default_rng(7)))
+    with zipfile.ZipFile(path) as zf:
+        members = {info: zf.read(info) for info in zf.infolist()}
+    with zipfile.ZipFile(path, "w") as zf:
+        for info, data in members.items():
+            if not (change == "drop" and info.filename == "b.npy"):
+                zf.writestr(info, data)
+        if change == "add":
+            zf.writestr(zipfile.ZipInfo("extra.npy"), b"")
+    with pytest.raises(CheckpointError, match="manifest"):
+        load_checkpoint(path)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 import yaml
@@ -77,6 +78,21 @@ def test_bad_checkpoint_is_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_v1_checkpoint_is_exit_1(tmp_path, capsys):
+    old = tmp_path / "v1.bin"
+    old.write_bytes(b"GRCKPT\x00" + struct.pack("<I", 1) + b"\x00" * 64)
+    assert main(["eval", "--ckpt", str(old), "--episodes", "1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_removed_arrival_radius_is_unknown_key(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"opponent": {"arrival_radius": 0.5}}))
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "unknown keys in 'opponent' block" in capsys.readouterr().err
+
+
 def test_bad_config_value_is_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump({"train": {"clip_epsilon": 5.0}}))
@@ -92,6 +108,13 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
     ("dynamics", "tau", 0),
     ("dynamics", "dt", 0),
     ("harness", "checkpoint_interval", 0),
+    ("dynamics", "imu_noise_std", 0.1),
+    ("dynamics", "imu_noise_std", [0.1] * 6),
+    ("dynamics", "imu_noise_std", [0.1] * 6 + [-0.1]),
+    ("dynamics", "gps_noise_std", -0.1),
+    ("train", "learning_rate", "abc"),
+    ("train", "rollout_steps", True),
+    ("harness", "drone_radius", None),
 ])
 def test_non_positive_config_value_is_exit_1(tmp_path, capsys, block, key,
                                              value):
