@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,11 +70,41 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+# field type -> (what it takes, test); a bool is never a number
+_KINDS = {
+    int: ("an integer",
+          lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _type_error(tp, default, v) -> str | None:
+    """None when v fits a field of type tp, else what the field takes. A
+    tuple field takes as many numbers as its default holds; an Optional
+    field also takes null."""
+    if tp is tuple:
+        if (isinstance(v, tuple) and len(v) == len(default)
+                and all(map(_is_number, v))):
+            return None
+        return f"{len(default)} numbers"
+    args = typing.get_args(tp)
+    optional = type(None) in args
+    if optional:
+        tp = next(a for a in args if a is not type(None))
+    what, fits = _KINDS[tp]
+    if fits(v) or (optional and v is None):
+        return None
+    return what + " or null" if optional else what
+
+
 def _build_block(cls, data: dict, name: str):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - fields
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' block: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
     coerced = {}
     for f in dataclasses.fields(cls):
         if f.name not in data:
@@ -81,9 +112,10 @@ def _build_block(cls, data: dict, name: str):
         v = data[f.name]
         if isinstance(v, list):
             v = tuple(v)
-        if _is_number(f.default) and not _is_number(v):
-            raise ConfigError(f"invalid '{name}' block: {f.name} must be a "
-                              f"number, got {v!r}")
+        expected = _type_error(types[f.name], f.default, v)
+        if expected:
+            raise ConfigError(f"invalid '{name}' block: {f.name} must be "
+                              f"{expected}, got {v!r}")
         coerced[f.name] = v
     try:
         return cls(**coerced)

@@ -32,7 +32,7 @@ def _setup(ckpt_state: dict, episodes: int, track: Track | None, seed: int):
 
 def _policy_action(params, stats, obs_raw, deterministic, rng):
     obs_n = normalize_observation(stats, obs_raw)
-    mean, log_std, _ = forward(params, obs_n)
+    mean, log_std = forward(params, obs_n)
     if deterministic:
         return np.clip(mean, -1.0, 1.0)
     _, clipped, _ = sample_action(mean, log_std, rng)

@@ -94,13 +94,13 @@ def _mlp_forward(x, w1, b1, w2, b2, w3, b3, w4, b4):
 
 
 def forward(params: PolicyParams, obs: np.ndarray):
-    """(mean, log_std, value) for a single observation."""
+    """(mean, log_std) of the action distribution for a single
+    observation, from the actor alone. The critic is not needed to act;
+    training evaluates it batched once per rollout (ppo.fill_values)."""
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (params.obs_dim,):
         raise ValueError(f"expected obs shape ({params.obs_dim},), got {obs.shape}")
-    mean = _mlp_forward(obs, *params.actor)[3]
-    value = _mlp_forward(obs, *params.critic)[3]
-    return mean, params.log_std.copy(), float(value[0])
+    return _mlp_forward(obs, *params.actor)[3], params.log_std.copy()
 
 
 def forward_batch(net: list[np.ndarray], obs: np.ndarray):

@@ -44,7 +44,9 @@ class TrainConfig:
 
 class RolloutBuffer:
     """Fixed-capacity on-policy store. Log-probs correspond to the raw
-    (pre-clip) actions; rewards are the scaled ones fed to GAE."""
+    (pre-clip) actions; rewards are the scaled ones fed to GAE. Values
+    and the bootstrap value are filled once the buffer is full
+    (fill_values)."""
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int = 3):
         self.capacity = capacity
@@ -53,6 +55,7 @@ class RolloutBuffer:
         self.log_probs = np.zeros(capacity)
         self.rewards = np.zeros(capacity)
         self.values = np.zeros(capacity)
+        self.bootstrap_value = 0.0
         self.dones = np.zeros(capacity)
         self.advantages = np.zeros(capacity)
         self.returns = np.zeros(capacity)
@@ -63,7 +66,7 @@ class RolloutBuffer:
     def full(self) -> bool:
         return self.ptr == self.capacity
 
-    def add(self, obs, action, log_prob, reward, value, done):
+    def add(self, obs, action, log_prob, reward, done):
         if self.full:
             raise ValueError("rollout buffer is full")
         i = self.ptr
@@ -71,13 +74,26 @@ class RolloutBuffer:
         self.actions[i] = action
         self.log_probs[i] = log_prob
         self.rewards[i] = reward
-        self.values[i] = value
         self.dones[i] = 1.0 if done else 0.0
         self.ptr += 1
 
-    def reset(self):
-        self.ptr = 0
-        self.advantages_ready = False
+
+def fill_values(buffer: RolloutBuffer, critic: list[np.ndarray],
+                next_obs: np.ndarray, chunk: int) -> RolloutBuffer:
+    """Set values = V(obs) and bootstrap_value = V(next_obs), or 0 when
+    the last step ended an episode. One critic pass over the stored
+    observations plus next_obs, in chunks of `chunk` rows so the hidden
+    activations stay minibatch-sized."""
+    if not buffer.full:
+        raise ValueError("buffer must be full before computing values")
+    obs = np.vstack([buffer.obs, next_obs])
+    values = np.empty(obs.shape[0])
+    for start in range(0, obs.shape[0], chunk):
+        values[start:start + chunk] = forward_batch(
+            critic, obs[start:start + chunk])[3][:, 0]
+    buffer.values[:] = values[:-1]
+    buffer.bootstrap_value = 0.0 if buffer.dones[-1] else float(values[-1])
+    return buffer
 
 
 def compute_gae(buffer: RolloutBuffer, bootstrap_value: float,

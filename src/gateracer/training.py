@@ -15,7 +15,7 @@ from .geometry import Track, track_from_dict, track_to_dict
 from .metrics import MetricsLogger, MetricsRecord
 from .networks import Adam, forward, init_policy, sample_action
 from .normalization import RewardScaler, RunningStats, normalize_observation
-from .ppo import RolloutBuffer, compute_gae, ppo_update
+from .ppo import RolloutBuffer, compute_gae, fill_values, ppo_update
 
 STREAM_NAMES = ("track", "spawn", "policy", "sensors", "update")
 
@@ -83,14 +83,14 @@ class Trainer:
         infos = []
         obs_n = self._pending_obs
         for _ in range(cfg.rollout_steps):
-            mean, log_std, value = forward(self.params, obs_n)
+            mean, log_std = forward(self.params, obs_n)
             raw, clipped, logp = sample_action(mean, log_std,
                                                self.rngs["policy"])
             reward_raw, done, info = self.env.step(clipped)
             if not np.isfinite(reward_raw):
                 raise RuntimeError(f"non-finite reward at step {self.global_step}")
             scaled = self.reward_scaler.scale(reward_raw, done)
-            buf.add(obs_n, raw, logp, scaled, value, done)
+            buf.add(obs_n, raw, logp, scaled, done)
             self.global_step += 1
             if done:
                 self.episode_count += 1
@@ -103,13 +103,8 @@ class Trainer:
                 raise RuntimeError(f"non-finite observation at step {self.global_step}")
             obs_n = normalize_observation(self.obs_stats, obs_raw)
         self._pending_obs = obs_n
+        fill_values(buf, self.params.critic, obs_n, cfg.minibatch_size)
         return buf, infos
-
-    def _bootstrap_value(self, buf: RolloutBuffer) -> float:
-        if buf.dones[-1]:
-            return 0.0
-        _, _, value = forward(self.params, self._pending_obs)
-        return value
 
     def _emit_episode(self, ep) -> None:
         stats = self._last_update_stats or {}
@@ -148,7 +143,7 @@ class Trainer:
         record and the periodic checkpoint."""
         cfg = self.cfg.train
         buf, _ = self.collect_rollout()
-        compute_gae(buf, self._bootstrap_value(buf), cfg.gamma, cfg.gae_lambda)
+        compute_gae(buf, buf.bootstrap_value, cfg.gamma, cfg.gae_lambda)
         lr = cfg.learning_rate
         if cfg.lr_decay:
             total_updates = max(1, cfg.total_steps // cfg.rollout_steps)

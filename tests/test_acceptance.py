@@ -213,10 +213,12 @@ def test_criterion_2_gae_oracle(capfd):
         for trial in range(10):
             n = 128
             buf = RolloutBuffer(n, 4)
-            for _ in range(n):
-                buf.add(rng.standard_normal(4), rng.standard_normal(3),
-                        0.0, float(rng.standard_normal()),
-                        float(rng.standard_normal()), bool(rng.random() < 0.1))
+            for i in range(n):
+                obs, action = rng.standard_normal(4), rng.standard_normal(3)
+                reward = float(rng.standard_normal())
+                value = float(rng.standard_normal())
+                buf.add(obs, action, 0.0, reward, bool(rng.random() < 0.1))
+                buf.values[i] = value
             bootstrap = float(rng.standard_normal())
             for lam in (0.95, 1.0):
                 compute_gae(buf, bootstrap, 0.99, lam)

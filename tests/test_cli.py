@@ -115,6 +115,11 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
     ("train", "learning_rate", "abc"),
     ("train", "rollout_steps", True),
     ("harness", "drone_radius", None),
+    ("reward", "time_limit", "abc"),
+    ("track", "spacing", 5),
+    ("track", "n_gates", 2.5),
+    ("track", "file", 5),
+    ("track", "randomize_per_episode", 3),
 ])
 def test_non_positive_config_value_is_exit_1(tmp_path, capsys, block, key,
                                              value):

@@ -35,11 +35,12 @@ def test_forward_single_matches_batch():
     rng = np.random.default_rng(1)
     params = init_policy(rng, obs_dim=6, hidden=8)
     obs = rng.standard_normal(6)
-    mean, log_std, value = forward(params, obs)
+    mean, log_std = forward(params, obs)
     _, _, _, m_batch = forward_batch(params.actor, obs[None, :])
     _, _, _, v_batch = forward_batch(params.critic, obs[None, :])
     np.testing.assert_allclose(mean, m_batch[0], atol=1e-14)
-    assert value == pytest.approx(v_batch[0, 0])
+    np.testing.assert_allclose(v_batch[0], mlp_oracle(obs, params.critic),
+                               atol=1e-14)
     np.testing.assert_array_equal(log_std, params.log_std)
 
 

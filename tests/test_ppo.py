@@ -3,7 +3,7 @@ import pytest
 
 from gateracer.networks import forward_batch, gaussian_log_prob, init_policy
 from gateracer.ppo import (RolloutBuffer, TrainConfig, _minibatch_loss_and_grads,
-                           compute_gae, ppo_update)
+                           compute_gae, fill_values, ppo_update)
 
 
 def gae_oracle(rewards, values, dones, bootstrap, gamma, lam):
@@ -27,10 +27,14 @@ def gae_oracle(rewards, values, dones, bootstrap, gamma, lam):
 
 def filled_buffer(rng, n=128, obs_dim=4):
     buf = RolloutBuffer(n, obs_dim)
-    for _ in range(n):
-        buf.add(rng.standard_normal(obs_dim), rng.standard_normal(3),
-                float(rng.standard_normal()), float(rng.standard_normal()),
-                float(rng.standard_normal()), bool(rng.random() < 0.1))
+    for i in range(n):
+        obs, action = rng.standard_normal(obs_dim), rng.standard_normal(3)
+        logp = float(rng.standard_normal())
+        reward = float(rng.standard_normal())
+        value = float(rng.standard_normal())
+        done = bool(rng.random() < 0.1)
+        buf.add(obs, action, logp, reward, done)
+        buf.values[i] = value
     return buf
 
 
@@ -45,16 +49,30 @@ def test_config_validation():
         TrainConfig(rollout_steps=100, minibatch_size=64)
 
 
-def test_buffer_capacity_and_reset():
+def test_buffer_capacity():
     buf = RolloutBuffer(2, 3)
-    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, False)
+    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, False)
     assert not buf.full
-    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, True)
+    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, True)
     assert buf.full
     with pytest.raises(ValueError):
-        buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, False)
-    buf.reset()
-    assert buf.ptr == 0 and not buf.advantages_ready
+        buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, False)
+
+
+@pytest.mark.parametrize("last_done", [False, True])
+def test_fill_values_matches_one_critic_pass(last_done):
+    rng = np.random.default_rng(3)
+    params = init_policy(rng, obs_dim=4, hidden=8)
+    buf = filled_buffer(rng, n=64)
+    buf.dones[-1] = float(last_done)
+    next_obs = rng.standard_normal(4)
+    with pytest.raises(ValueError):
+        fill_values(RolloutBuffer(64, 4), params.critic, next_obs, 16)
+    fill_values(buf, params.critic, next_obs, chunk=16)
+    _, _, _, v = forward_batch(params.critic, np.vstack([buf.obs, next_obs]))
+    np.testing.assert_allclose(buf.values, v[:-1, 0], rtol=0, atol=1e-12)
+    want = 0.0 if last_done else v[-1, 0]
+    assert buf.bootstrap_value == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_gae_requires_full_buffer():
@@ -172,13 +190,15 @@ def make_update_inputs(seed=0, n=64, obs_dim=4):
     rng = np.random.default_rng(seed)
     params = init_policy(rng, obs_dim=obs_dim, hidden=8)
     buf = RolloutBuffer(n, obs_dim)
-    for _ in range(n):
+    for i in range(n):
         o = rng.standard_normal(obs_dim)
         _, _, _, mean = forward_batch(params.actor, o[None])
         a = mean[0] + rng.standard_normal(3)
         lp = float(gaussian_log_prob(a, mean[0], params.log_std))
-        buf.add(o, a, lp, float(rng.standard_normal()),
-                float(rng.standard_normal()), bool(rng.random() < 0.1))
+        reward = float(rng.standard_normal())
+        value = float(rng.standard_normal())
+        buf.add(o, a, lp, reward, bool(rng.random() < 0.1))
+        buf.values[i] = value
     compute_gae(buf, 0.0, 0.99, 0.95)
     return params, buf
 

@@ -6,6 +6,7 @@ import pytest
 from gateracer.checkpoint import load_checkpoint
 from gateracer.config import RunConfig, TrackSettings
 from gateracer.geometry import track_to_dict
+from gateracer.networks import forward_batch
 from gateracer.training import STREAM_NAMES, Trainer, make_streams
 
 
@@ -40,6 +41,17 @@ def test_rollout_fills_buffer_and_advances_clock(tmp_path):
     for ep in infos:
         assert ep.termination in ("all_gates", "too_far", "collision_limit",
                                   "time_limit")
+    tr.metrics.close()
+
+
+def test_rollout_values_match_the_critic(tmp_path):
+    tr = Trainer(small_cfg(), seed=0, out_dir=tmp_path)
+    buf, _ = tr.collect_rollout()
+    _, _, _, v = forward_batch(tr.params.critic, buf.obs)
+    np.testing.assert_allclose(buf.values, v[:, 0], rtol=0, atol=1e-12)
+    _, _, _, v_next = forward_batch(tr.params.critic, tr._pending_obs[None])
+    want = 0.0 if buf.dones[-1] else v_next[0, 0]
+    assert buf.bootstrap_value == pytest.approx(want, rel=0, abs=1e-12)
     tr.metrics.close()
 
 
