@@ -91,6 +91,20 @@ class RacingEnv:
         self.spawn_rng = spawn_rng or np.random.default_rng(0)
         self.sensor_rng = sensor_rng or np.random.default_rng(1)
         self.drone_radius = drone_radius
+        # distance triggers, one per gate: each must cover every point
+        # reachable in one step from anywhere its predicate can fire, or
+        # real events get dropped. For a pass that is the opening; for a
+        # collision the farthest corner of the frame band's box.
+        travel_bound = dyn_cfg.v_max * dyn_cfg.dt
+        self._gate_centers = np.array([g.center for g in track.gates])
+        self._pass_reach = np.array(
+            [math.hypot(g.half_width, g.half_height) for g in track.gates]
+        ) + reward_cfg.pass_check_radius + travel_bound
+        self._frame_reach = np.array(
+            [math.hypot(g.frame_thickness / 2 + drone_radius,
+                        g.half_width + g.frame_thickness,
+                        g.half_height + g.frame_thickness)
+             for g in track.gates]) + travel_bound
         self.plan = opponent.plan(
             track, cruise_speed=self.opp_cfg.cruise_speed,
             approach_offset=self.opp_cfg.approach_offset)
@@ -147,30 +161,21 @@ class RacingEnv:
 
     def detect_events(self, prev: DroneState, nxt: DroneState) -> dict:
         """Geometric events for one step: the gate-pass test is only
-        invoked near the target gate (a cheap distance trigger); frame
-        collisions are checked against every gate within reach."""
-        gate = self.track.gates[self.status.target_gate]
-        travel_bound = self.dyn_cfg.v_max * self.dyn_cfg.dt
+        invoked near the target gate; frame collisions are checked, in
+        gate order, against every gate within reach."""
+        dist = np.linalg.norm(nxt.position - self._gate_centers, axis=1)
+        target = self.status.target_gate
         pass_event = None
-        d_next = float(np.linalg.norm(nxt.position - gate.center))
-        # trigger radius must cover every point reachable in one step from
-        # a crossing anywhere in the opening, or real passes get dropped
-        reach = math.hypot(gate.half_width, gate.half_height) + travel_bound
-        if d_next < self.reward_cfg.pass_check_radius + reach:
+        if dist[target] < self._pass_reach[target]:
+            gate = self.track.gates[target]
             point = segment_gate_crossing(prev.position, nxt.position, gate)
             if point is not None:
                 pass_event = PassEvent(gate_id=gate.id, time=nxt.time,
                                        crossing_point=point)
-        collision = False
-        for g in self.track.gates:
-            reach = (max(g.half_width, g.half_height) + g.frame_thickness
-                     + self.drone_radius + travel_bound)
-            if float(np.linalg.norm(nxt.position - g.center)) > reach:
-                continue
-            if segment_frame_collision(prev.position, nxt.position, g,
-                                       self.drone_radius):
-                collision = True
-                break
+        collision = any(
+            segment_frame_collision(prev.position, nxt.position,
+                                    self.track.gates[i], self.drone_radius)
+            for i in np.flatnonzero(dist <= self._frame_reach))
         return {"pass": pass_event, "collision": collision}
 
     def step(self, action) -> tuple[float, bool, dict]:

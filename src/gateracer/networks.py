@@ -1,5 +1,9 @@
 """From-scratch actor/critic MLPs (3 hidden tanh layers), the diagonal
-Gaussian action head, and an adaptive-moment optimizer. All float64."""
+Gaussian action head, and an adaptive-moment optimizer.
+
+The parameters, the optimizer state and the checkpoint are float64, and
+so is acting. The MLP functions follow the dtype of the arrays they are
+given, which lets the PPO update run its minibatches in float32."""
 
 from __future__ import annotations
 
@@ -68,11 +72,12 @@ class PolicyParams:
         n = (len(flat) - 1) // 2
         return cls(actor=flat[:n], log_std=flat[n], critic=flat[n + 1:])
 
-    def copy(self) -> "PolicyParams":
+    def astype(self, dtype) -> "PolicyParams":
+        """A copy in `dtype`; each array keeps its memory order."""
         return PolicyParams(
-            actor=[a.copy() for a in self.actor],
-            log_std=self.log_std.copy(),
-            critic=[c.copy() for c in self.critic],
+            actor=[a.astype(dtype) for a in self.actor],
+            log_std=self.log_std.astype(dtype),
+            critic=[c.astype(dtype) for c in self.critic],
         )
 
 
@@ -183,7 +188,7 @@ class Adam:
 
 def clip_grads_global(grads: list[np.ndarray], max_norm: float) -> float:
     """In-place global-norm clipping; returns the pre-clip norm."""
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads:

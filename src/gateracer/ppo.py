@@ -125,8 +125,14 @@ def _minibatch_loss_and_grads(params: PolicyParams, obs, actions, logp_old,
 
     The policy term maximizes min(rho*A, clamp(rho)*A); the gradient of
     the min flows through rho only where the unclipped branch is active
-    (the clamp has zero slope when it saturates).
+    (the clamp has zero slope when it saturates). Computes in the dtype
+    of the parameters: the batch is cast to it, and the gradients come
+    back in it.
     """
+    dtype = params.log_std.dtype
+    obs, actions, logp_old, adv, returns = (
+        np.asarray(a, dtype=dtype)
+        for a in (obs, actions, logp_old, adv, returns))
     n = obs.shape[0]
     eps = cfg.clip_epsilon
 
@@ -177,7 +183,12 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
                lr: float | None = None):
     """Run epochs_per_update passes of shuffled minibatches over the
     buffer, mutating params in place. theta_old lives in the stored
-    log-probs and stays fixed for the whole update."""
+    log-probs and stays fixed for the whole update.
+
+    Each minibatch's forward and backward run in float32 on a fresh
+    float32 copy of the parameters; the gradients are upcast, and
+    clipping, Adam and the parameters themselves stay float64 (mixed
+    precision against master weights, Micikevicius et al. 2018)."""
     if not buffer.advantages_ready:
         raise ValueError("advantages must be computed before the update")
     if adam is None:
@@ -186,6 +197,7 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
         lr = cfg.learning_rate
 
     flat = params.flat_list()
+    obs = buffer.obs.astype(np.float32)
     n = buffer.capacity
     mb = cfg.minibatch_size
     agg: dict[str, float] = {}
@@ -196,9 +208,10 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
         for start in range(0, n, mb):
             idx = perm[start:start + mb]
             loss, grads, stats = _minibatch_loss_and_grads(
-                params, buffer.obs[idx], buffer.actions[idx],
+                params.astype(np.float32), obs[idx], buffer.actions[idx],
                 buffer.log_probs[idx], buffer.advantages[idx],
                 buffer.returns[idx], cfg)
+            grads = [g.astype(np.float64) for g in grads]
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite PPO loss: {stats}; "

@@ -8,7 +8,8 @@ import pytest
 from gateracer.dynamics import DroneState, DynamicsConfig
 from gateracer.env import (OBS_DIM, RacingEnv, TIMER_OBS_SCALE,
                            build_observation)
-from gateracer.geometry import default_track, track_from_dict
+from gateracer.geometry import (Gate, Track, default_track,
+                                segment_frame_collision, track_from_dict)
 from gateracer.rewards import RewardConfig, TERM_TIME_LIMIT
 
 
@@ -114,6 +115,32 @@ def test_frame_hit_registers_collision():
     assert info["events"]["collision"]
     assert env.status.collisions == 1
     assert reward < 0
+
+
+def test_frame_corner_hit_registers_collision():
+    """A step that clips the frame near a corner of the band, ending
+    farther from the gate centre than max(hw, hh) + ft + r + v_max*dt,
+    must still count."""
+    env = RacingEnv(Track([Gate(0, np.zeros(3), 0.0)]), DynamicsConfig(),
+                    RewardConfig())
+    env.reset()
+    gate = env.track.gates[0]
+    d = np.array([-0.2, 1.0, 1.0])
+    d /= np.linalg.norm(d)
+    p0 = np.array([0.426, 1.70, 1.70])
+    p1 = p0 + 0.74 * d
+
+    def state(p):
+        return DroneState(position=p, velocity=np.zeros(3),
+                          attitude=np.zeros(3), angular_velocity=np.zeros(3))
+
+    assert segment_frame_collision(p0, p1, gate, env.drone_radius)
+    assert np.linalg.norm(p1) > (max(gate.half_width, gate.half_height)
+                                 + gate.frame_thickness + env.drone_radius
+                                 + env.dyn_cfg.v_max * env.dyn_cfg.dt)
+    assert env.detect_events(state(p0), state(p1))["collision"]
+    # the step before does not touch the frame, so this one is the only hit
+    assert not env.detect_events(state(p0 - 0.74 * d), state(p0))["collision"]
 
 
 def test_episode_info_on_termination():

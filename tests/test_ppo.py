@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from gateracer.networks import forward_batch, gaussian_log_prob, init_policy
+from gateracer.env import OBS_DIM
+from gateracer.networks import (Adam, forward_batch, gaussian_log_prob,
+                                init_policy)
 from gateracer.ppo import (RolloutBuffer, TrainConfig, _minibatch_loss_and_grads,
                            compute_gae, fill_values, ppo_update)
 
@@ -186,6 +190,43 @@ def test_value_loss_is_mse():
     assert stats["value_loss"] == pytest.approx(want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_minibatch_grads_follow_the_param_dtype(dtype):
+    params, obs, actions, logp, adv, rets = _tiny_setup(seed=3)
+    cast = params.astype(dtype)
+    for a, b in zip(params.flat_list(), cast.flat_list()):
+        assert b.dtype == dtype
+        assert b.flags.f_contiguous == a.flags.f_contiguous
+    cfg = TrainConfig(rollout_steps=32, minibatch_size=32)
+    _, grads, _ = _minibatch_loss_and_grads(cast, obs, actions, logp, adv,
+                                            rets, cfg)
+    assert [g.dtype for g in grads] == [np.dtype(dtype)] * len(grads)
+
+
+def test_float32_grads_match_float64_at_full_size():
+    """One 256-row minibatch through the full-size networks: the float32
+    gradients the update uses agree with the float64 ones to 1e-4 in
+    relative global norm, with both clip branches active."""
+    rng = np.random.default_rng(4)
+    params = init_policy(rng, obs_dim=OBS_DIM)
+    n = 256
+    obs = rng.standard_normal((n, OBS_DIM))
+    _, _, _, mean = forward_batch(params.actor, obs)
+    actions = mean + np.exp(params.log_std) * rng.standard_normal((n, 3))
+    logp_old = (gaussian_log_prob(actions, mean, params.log_std)
+                + rng.uniform(-0.4, 0.4, n))
+    adv, rets = rng.standard_normal(n), rng.standard_normal(n)
+    cfg = TrainConfig(entropy_coef=0.01)
+    _, g64, stats = _minibatch_loss_and_grads(params, obs, actions, logp_old,
+                                              adv, rets, cfg)
+    _, g32, _ = _minibatch_loss_and_grads(params.astype(np.float32), obs,
+                                          actions, logp_old, adv, rets, cfg)
+    assert 0.0 < stats["clip_fraction"] < 1.0
+    err = math.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(g64, g32)))
+    norm = math.sqrt(sum(float(np.sum(a * a)) for a in g64))
+    assert err <= 1e-4 * norm
+
+
 def make_update_inputs(seed=0, n=64, obs_dim=4):
     rng = np.random.default_rng(seed)
     params = init_policy(rng, obs_dim=obs_dim, hidden=8)
@@ -236,3 +277,22 @@ def test_ppo_update_respects_log_std_bounds():
     params, buf = make_update_inputs(seed=8)
     ppo_update(params, buf, cfg, np.random.default_rng(0))
     assert np.all(params.log_std >= -5.0) and np.all(params.log_std <= 2.0)
+
+
+def test_ppo_update_keeps_master_state_float64():
+    """The minibatches compute in float32, but the parameters and the
+    Adam moments stay float64 in their own memory order."""
+    cfg = TrainConfig(rollout_steps=64, minibatch_size=32,
+                      epochs_per_update=2)
+    params, buf = make_update_inputs(seed=6)
+    adam = Adam([p.shape for p in params.flat_list()])
+    layout = [(p.flags.c_contiguous, p.flags.f_contiguous)
+              for p in params.flat_list()]
+    assert (False, True) in layout  # the wide W1 is Fortran-ordered
+    ppo_update(params, buf, cfg, np.random.default_rng(0), adam)
+    assert adam.t == 4
+    for p, order in zip(params.flat_list(), layout):
+        assert p.dtype == np.float64
+        assert (p.flags.c_contiguous, p.flags.f_contiguous) == order
+    for a in adam.m + adam.v:
+        assert a.dtype == np.float64 and a.flags.c_contiguous

@@ -55,6 +55,22 @@ def test_rollout_values_match_the_critic(tmp_path):
     tr.metrics.close()
 
 
+def test_checkpoint_state_stays_float64_after_an_update(tmp_path):
+    cfg = small_cfg()
+    cfg.train.rollout_steps = 256
+    cfg.train.epochs_per_update = 1
+    tr = Trainer(cfg, seed=0, out_dir=tmp_path)
+    tr.iterate()
+    tr.metrics.close()
+    assert tr.update_count == 1
+    arrays = tr._state_dict()["arrays"]
+    assert any(name.startswith("adam_m") for name in arrays)
+    saved = load_checkpoint(tr.checkpoint_path)["arrays"]
+    assert set(saved) == set(arrays)
+    for name in arrays:
+        assert arrays[name].dtype == saved[name].dtype == np.float64, name
+
+
 def test_same_seed_runs_are_bit_identical(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     Trainer(small_cfg(), seed=11, out_dir=out1).train()
