@@ -4,9 +4,11 @@ first-order lag, plus synthetic IMU / GPS readouts."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import norm3
 
 GRAVITY = 9.81
 BANK_CAP = math.pi / 6.0  # roll/pitch limit of the banked-turn proxy
@@ -81,61 +83,55 @@ def step(state: DroneState, cmd, dt: float, cfg: DynamicsConfig) -> DroneState:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dv = np.asarray(cmd, dtype=np.float64)
-    vel = state.velocity
-    att = state.attitude
+    c0, c1, c2 = np.asarray(cmd, dtype=np.float64).tolist()
+    px, py, pz = state.position.tolist()
+    vx, vy, vz = state.velocity.tolist()
+    roll0, pitch0, yaw0 = state.attitude.tolist()
+    scale = cfg.command_scale
 
-    tx = vel[0] + min(max(dv[0], -1.0), 1.0) * cfg.command_scale
-    ty = vel[1] + min(max(dv[1], -1.0), 1.0) * cfg.command_scale
-    tz = vel[2] + min(max(dv[2], -1.0), 1.0) * cfg.command_scale
-    speed = math.sqrt(tx * tx + ty * ty + tz * tz)
+    tx = vx + min(max(c0, -1.0), 1.0) * scale
+    ty = vy + min(max(c1, -1.0), 1.0) * scale
+    tz = vz + min(max(c2, -1.0), 1.0) * scale
+    speed = norm3(tx, ty, tz)
     if speed > cfg.v_max:
         s = cfg.v_max / speed
         tx *= s
         ty *= s
         tz *= s
     decay = math.exp(-dt / cfg.tau)
-    new_vel = np.empty(3, dtype=np.float64)
-    new_vel[0] = tx + (vel[0] - tx) * decay
-    new_vel[1] = ty + (vel[1] - ty) * decay
-    new_vel[2] = tz + (vel[2] - tz) * decay
+    nvx = tx + (vx - tx) * decay
+    nvy = ty + (vy - ty) * decay
+    nvz = tz + (vz - tz) * decay
 
-    new_pos = np.empty(3, dtype=np.float64)
-    for i in range(3):
-        new_pos[i] = state.position[i] + 0.5 * (vel[i] + new_vel[i]) * dt
-
-    yaw = att[2]
-    hspeed = math.hypot(new_vel[0], new_vel[1])
-    if hspeed > 1e-6:
-        target_yaw = math.atan2(new_vel[1], new_vel[0])
-        dyaw = _wrap_angle(target_yaw - yaw)
+    yaw = yaw0
+    if math.hypot(nvx, nvy) > 1e-6:
+        dyaw = _wrap_angle(math.atan2(nvy, nvx) - yaw)
         max_dyaw = cfg.yaw_rate_max * dt
-        if dyaw > max_dyaw:
-            dyaw = max_dyaw
-        elif dyaw < -max_dyaw:
-            dyaw = -max_dyaw
-        yaw = _wrap_angle(yaw + dyaw)
+        yaw = _wrap_angle(yaw + min(max(dyaw, -max_dyaw), max_dyaw))
 
-    ax = (new_vel[0] - vel[0]) / dt
-    ay = (new_vel[1] - vel[1]) / dt
-    a_fwd = ax * math.cos(yaw) + ay * math.sin(yaw)
-    a_lat = -ax * math.sin(yaw) + ay * math.cos(yaw)
+    ax = (nvx - vx) / dt
+    ay = (nvy - vy) / dt
+    cos_yaw, sin_yaw = math.cos(yaw), math.sin(yaw)
+    a_fwd = ax * cos_yaw + ay * sin_yaw
+    a_lat = -ax * sin_yaw + ay * cos_yaw
     roll = min(max(math.atan2(a_lat, GRAVITY), -BANK_CAP), BANK_CAP)
     pitch = min(max(-math.atan2(a_fwd, GRAVITY), -BANK_CAP), BANK_CAP)
 
-    angvel = np.array([(roll - att[0]) / dt, (pitch - att[1]) / dt,
-                       _wrap_angle(yaw - att[2]) / dt])
     return DroneState(
-        position=new_pos,
-        velocity=new_vel,
+        position=np.array([px + 0.5 * (vx + nvx) * dt,
+                           py + 0.5 * (vy + nvy) * dt,
+                           pz + 0.5 * (vz + nvz) * dt]),
+        velocity=np.array([nvx, nvy, nvz]),
         attitude=np.array([roll, pitch, yaw]),
-        angular_velocity=angvel,
+        angular_velocity=np.array([(roll - roll0) / dt, (pitch - pitch0) / dt,
+                                   _wrap_angle(yaw - yaw0) / dt]),
         time=state.time + dt,
     )
 
 
 def _wrap_angle(a: float) -> float:
-    """Shift an angle by whole turns into [-pi, pi]."""
+    """Shift an angle by whole turns into [-pi, pi]; an angle already in
+    range comes back unchanged."""
     while a > math.pi:
         a -= 2.0 * math.pi
     while a < -math.pi:
@@ -146,25 +142,30 @@ def _wrap_angle(a: float) -> float:
 def read_imu(state: DroneState, noise_std, rng: np.random.Generator) -> ImuReading:
     """True IMU values plus independent zero-mean Gaussian noise; the 7
     channels are 3x linear velocity, 3x angular velocity, 1x attitude."""
-    noise_std = np.asarray(noise_std, dtype=np.float64)
-    if np.any(noise_std < 0):
+    if min(noise_std) < 0:
         raise ValueError("noise_std must be non-negative")
-    lin = state.velocity.copy()
-    ang = state.angular_velocity.copy()
-    att = state.attitude.copy()
-    if np.any(noise_std > 0):
-        eps = rng.standard_normal(9)
-        lin = lin + noise_std[0:3] * eps[0:3]
-        ang = ang + noise_std[3:6] * eps[3:6]
-        att = att + noise_std[6] * eps[6:9]
-    return ImuReading(linear_velocity=lin, angular_velocity=ang, attitude=att)
+    if not max(noise_std) > 0:
+        return ImuReading(linear_velocity=state.velocity.copy(),
+                          angular_velocity=state.angular_velocity.copy(),
+                          attitude=state.attitude.copy())
+    n = np.asarray(noise_std, dtype=np.float64).tolist()
+    e = rng.standard_normal(9).tolist()
+    lin = state.velocity.tolist()
+    ang = state.angular_velocity.tolist()
+    att = state.attitude.tolist()
+    return ImuReading(
+        linear_velocity=np.array([lin[i] + n[i] * e[i] for i in range(3)]),
+        angular_velocity=np.array([ang[i] + n[3 + i] * e[3 + i]
+                                   for i in range(3)]),
+        attitude=np.array([att[i] + n[6] * e[6 + i] for i in range(3)]))
 
 
 def read_gps(state: DroneState, noise_std: float, rng: np.random.Generator) -> np.ndarray:
     """Position plus isotropic Gaussian noise; exact when noise_std = 0."""
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
-    pos = state.position.copy()
-    if noise_std > 0:
-        pos = pos + noise_std * rng.standard_normal(3)
-    return pos
+    if not noise_std > 0:
+        return state.position.copy()
+    e = rng.standard_normal(3).tolist()
+    return np.array([p + noise_std * d
+                     for p, d in zip(state.position.tolist(), e)])

@@ -10,25 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, opponent, rewards
-from .dynamics import DroneState, DynamicsConfig, ImuReading
-from .geometry import (DEFAULT_DRONE_RADIUS, PassEvent, Track,
+from .dynamics import DroneState, DynamicsConfig, ImuReading, _wrap_angle
+from .geometry import (DEFAULT_DRONE_RADIUS, PassEvent, Track, norm3,
                        segment_frame_collision, segment_gate_crossing,
                        sample_spawn, track_to_dict)
 from .rewards import EpisodeStatus, RewardConfig, TERM_NONE
 
 OBS_DIM = 21
 TIMER_OBS_SCALE = 0.1
-
-
-def _yaw_frame(vec: np.ndarray, yaw: float) -> np.ndarray:
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([c * vec[0] + s * vec[1],
-                     -s * vec[0] + c * vec[1],
-                     vec[2]])
-
-
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
@@ -40,17 +29,22 @@ def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
     if status.done != TERM_NONE:
         raise ValueError("cannot observe a finished episode")
     gate = track.gates[status.target_gate]
+    x, y, z = agent.position.tolist()
+    gx, gy, gz = gate.center.tolist()
+    ox, oy, oz = np.asarray(opponent_gps, dtype=np.float64).tolist()
     yaw = agent.yaw
-    to_gate = _yaw_frame(gate.center - agent.position, yaw)
-    to_opp = _yaw_frame(np.asarray(opponent_gps) - agent.position, yaw)
-    rel_yaw = _wrap_angle(gate.yaw - yaw)
-    frac = status.gates_passed / track.n_gates
-    timer = (status.gate_deadline - agent.time) * TIMER_OBS_SCALE
-    return np.concatenate([
-        imu.linear_velocity, imu.angular_velocity, imu.attitude,
-        np.asarray(gps, dtype=np.float64), to_gate, [rel_yaw], to_opp,
-        [frac], [timer],
-    ])
+    c, s = math.cos(yaw), math.sin(yaw)
+    # the gate and opponent vectors rotated into the agent's yaw frame
+    gx, gy, gz = gx - x, gy - y, gz - z
+    ox, oy, oz = ox - x, oy - y, oz - z
+    return np.array(
+        imu.linear_velocity.tolist() + imu.angular_velocity.tolist()
+        + imu.attitude.tolist() + np.asarray(gps, dtype=np.float64).tolist()
+        + [c * gx + s * gy, -s * gx + c * gy, gz,
+           _wrap_angle(gate.yaw - yaw),
+           c * ox + s * oy, -s * ox + c * oy, oz,
+           status.gates_passed / track.n_gates,
+           (status.gate_deadline - agent.time) * TIMER_OBS_SCALE])
 
 
 def _drone_json(d: DroneState) -> dict:
@@ -96,15 +90,16 @@ class RacingEnv:
         # real events get dropped. For a pass that is the opening; for a
         # collision the farthest corner of the frame band's box.
         travel_bound = dyn_cfg.v_max * dyn_cfg.dt
-        self._gate_centers = np.array([g.center for g in track.gates])
-        self._pass_reach = np.array(
-            [math.hypot(g.half_width, g.half_height) for g in track.gates]
-        ) + reward_cfg.pass_check_radius + travel_bound
-        self._frame_reach = np.array(
-            [math.hypot(g.frame_thickness / 2 + drone_radius,
-                        g.half_width + g.frame_thickness,
-                        g.half_height + g.frame_thickness)
-             for g in track.gates]) + travel_bound
+        self._gate_centers = [g.center.tolist() for g in track.gates]
+        self._pass_reach = [
+            math.hypot(g.half_width, g.half_height)
+            + reward_cfg.pass_check_radius + travel_bound
+            for g in track.gates]
+        self._frame_reach = [
+            math.hypot(g.frame_thickness / 2 + drone_radius,
+                       g.half_width + g.frame_thickness,
+                       g.half_height + g.frame_thickness) + travel_bound
+            for g in track.gates]
         self.plan = opponent.plan(
             track, cruise_speed=self.opp_cfg.cruise_speed,
             approach_offset=self.opp_cfg.approach_offset)
@@ -163,7 +158,9 @@ class RacingEnv:
         """Geometric events for one step: the gate-pass test is only
         invoked near the target gate; frame collisions are checked, in
         gate order, against every gate within reach."""
-        dist = np.linalg.norm(nxt.position - self._gate_centers, axis=1)
+        x, y, z = nxt.position.tolist()
+        dist = [norm3(x - cx, y - cy, z - cz)
+                for cx, cy, cz in self._gate_centers]
         target = self.status.target_gate
         pass_event = None
         if dist[target] < self._pass_reach[target]:
@@ -173,9 +170,11 @@ class RacingEnv:
                 pass_event = PassEvent(gate_id=gate.id, time=nxt.time,
                                        crossing_point=point)
         collision = any(
-            segment_frame_collision(prev.position, nxt.position,
-                                    self.track.gates[i], self.drone_radius)
-            for i in np.flatnonzero(dist <= self._frame_reach))
+            segment_frame_collision(prev.position, nxt.position, gate,
+                                    self.drone_radius)
+            for gate, d, reach in zip(self.track.gates, dist,
+                                      self._frame_reach)
+            if d <= reach)
         return {"pass": pass_event, "collision": collision}
 
     def step(self, action) -> tuple[float, bool, dict]:

@@ -7,7 +7,8 @@ import numpy as np
 from .checkpoint import load_policy
 from .config import run_config_from_dict
 from .env import RacingEnv
-from .geometry import Track, sample_spawn, segment_gate_crossing, track_from_dict
+from .geometry import (Track, norm3, sample_spawn, segment_gate_crossing,
+                       track_from_dict)
 from .networks import forward, sample_action
 from .normalization import normalize_observation
 from .rewards import TERM_ALL_GATES
@@ -45,7 +46,7 @@ def _displaced_spawn(track: Track, rng, spawn_distance, yaw_error):
     spawn = sample_spawn(track, 0, rng)
     gate = track.gates[0]
     to_gate = gate.center - spawn.position
-    d = float(np.linalg.norm(to_gate))
+    d = norm3(*to_gate.tolist())
     if spawn_distance is not None:
         spawn.position = gate.center - to_gate / d * spawn_distance
     if yaw_error:

@@ -16,6 +16,13 @@ DEFAULT_DRONE_RADIUS = 0.3
 DEFAULT_SPAWN_BAND = (2.0, 3.5)
 
 
+def norm3(x: float, y: float, z: float) -> float:
+    """Length of a 3-vector given by its components. Every per-step
+    distance uses this one formula; a 1-D `np.linalg.norm` goes through
+    BLAS and can differ from it in the last bit."""
+    return math.sqrt(x * x + y * y + z * z)
+
+
 @dataclass
 class Gate:
     """An upright rectangular gate; the normal is (cos yaw, sin yaw, 0)."""
@@ -99,22 +106,22 @@ def segment_gate_crossing(p0, p1, gate: Gate):
     non-negative side, and the in-plane offsets of the intersection must
     fit the opening.
     """
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    center = gate.center
+    x0, y0, z0 = np.asarray(p0, dtype=np.float64).tolist()
+    x1, y1, z1 = np.asarray(p1, dtype=np.float64).tolist()
+    cx, cy, cz = gate.center.tolist()
     nx = math.cos(gate.yaw)
     ny = math.sin(gate.yaw)
-    d0 = (p0[0] - center[0]) * nx + (p0[1] - center[1]) * ny
-    d1 = (p1[0] - center[0]) * nx + (p1[1] - center[1]) * ny
+    d0 = (x0 - cx) * nx + (y0 - cy) * ny
+    d1 = (x1 - cx) * nx + (y1 - cy) * ny
     if not (d0 < 0.0 and d1 >= 0.0):
         return None
     t = d0 / (d0 - d1)
-    px = p0[0] + t * (p1[0] - p0[0])
-    py = p0[1] + t * (p1[1] - p0[1])
-    pz = p0[2] + t * (p1[2] - p0[2])
+    px = x0 + t * (x1 - x0)
+    py = y0 + t * (y1 - y0)
+    pz = z0 + t * (z1 - z0)
     # in-plane axes: u horizontal (-sin, cos, 0), v vertical (0, 0, 1)
-    u = -(px - center[0]) * ny + (py - center[1]) * nx
-    v = pz - center[2]
+    u = -(px - cx) * ny + (py - cy) * nx
+    v = pz - cz
     if abs(u) <= gate.half_width and abs(v) <= gate.half_height:
         return np.array([px, py, pz])
     return None
@@ -142,17 +149,17 @@ def segment_frame_collision(p0, p1, gate: Gate, drone_radius: float) -> bool:
     """
     if drone_radius <= 0:
         raise ValueError("drone_radius must be positive")
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    center = gate.center
+    x0, y0, z0 = np.asarray(p0, dtype=np.float64).tolist()
+    x1, y1, z1 = np.asarray(p1, dtype=np.float64).tolist()
+    cx, cy, cz = gate.center.tolist()
     nx = math.cos(gate.yaw)
     ny = math.sin(gate.yaw)
-    rx0 = p0[0] - center[0]
-    ry0 = p0[1] - center[1]
-    rz0 = p0[2] - center[2]
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
-    dz = p1[2] - p0[2]
+    rx0 = x0 - cx
+    ry0 = y0 - cy
+    rz0 = z0 - cz
+    dx = x1 - x0
+    dy = y1 - y0
+    dz = z1 - z0
     # linear coordinates along the segment: f(t) = a + b t
     d_a = rx0 * nx + ry0 * ny
     d_b = dx * nx + dy * ny

@@ -144,12 +144,20 @@ def gaussian_entropy(log_std) -> float:
 
 
 def sample_action(mean, log_std, rng: np.random.Generator):
-    """(raw_action, clipped_action, log_prob). The log-prob is of the raw
-    action; the environment receives the clipped one."""
-    std = np.exp(log_std)
-    raw = mean + std * rng.standard_normal(mean.shape[-1])
-    logp = float(gaussian_log_prob(raw, mean, log_std))
-    return raw, np.clip(raw, -1.0, 1.0), logp
+    """(raw_action, clipped_action, log_prob) for one observation's 1-D
+    mean. The log-prob is of the raw action, summed term by term in
+    gaussian_log_prob's order; the environment receives the clipped one."""
+    m = mean.tolist()
+    std = np.exp(log_std).tolist()
+    inv_std = np.exp(-log_std).tolist()
+    eps = rng.standard_normal(len(m)).tolist()
+    raw = [mi + si * ei for mi, si, ei in zip(m, std, eps)]
+    total = 0.0
+    for ri, mi, ki, li in zip(raw, m, inv_std, log_std.tolist()):
+        z = (ri - mi) * ki
+        total += z * z + 2.0 * li + LOG2PI
+    return (np.array(raw), np.array([min(max(r, -1.0), 1.0) for r in raw]),
+            -0.5 * total)
 
 
 class Adam:

@@ -3,6 +3,8 @@ std of the running discounted return."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 OBS_CLIP = 10.0
@@ -19,18 +21,28 @@ class RunningStats:
         self.mean = np.zeros(dim)
         self.m2 = np.zeros(dim)
         self.frozen = False
+        self._denom = None  # max(std, STD_FLOOR) of the current moments
 
     def update(self, x) -> None:
+        """Welford step, in place on `mean` and `m2`."""
         x = np.asarray(x, dtype=np.float64)
         self.count += 1.0
         delta = x - self.mean
-        self.mean = self.mean + delta / self.count
-        self.m2 = self.m2 + delta * (x - self.mean)
+        self.mean += delta / self.count
+        self.m2 += delta * (x - self.mean)
+        self._denom = None
 
     def std(self) -> np.ndarray:
         if self.count < 1:
             return np.ones(self.dim)
         return np.sqrt(self.m2 / self.count)
+
+    def _denominator(self) -> np.ndarray:
+        """max(std, STD_FLOOR); computed once per change of the moments,
+        so frozen statistics compute it once."""
+        if self._denom is None:
+            self._denom = np.maximum(self.std(), STD_FLOOR)
+        return self._denom
 
     def state_dict(self) -> dict:
         return {"count": self.count, "mean": self.mean.copy(),
@@ -41,6 +53,7 @@ class RunningStats:
         self.mean = np.asarray(d["mean"], dtype=np.float64).copy()
         self.m2 = np.asarray(d["m2"], dtype=np.float64).copy()
         self.frozen = bool(d["frozen"])
+        self._denom = None
 
 
 def normalize_observation(stats: RunningStats, obs) -> np.ndarray:
@@ -51,8 +64,10 @@ def normalize_observation(stats: RunningStats, obs) -> np.ndarray:
         raise ValueError(f"expected obs dim {stats.dim}, got {obs.shape[-1]}")
     if not stats.frozen:
         stats.update(obs)
-    z = (obs - stats.mean) / np.maximum(stats.std(), STD_FLOOR)
-    return np.clip(z, -OBS_CLIP, OBS_CLIP)
+    z = obs - stats.mean
+    z /= stats._denominator()
+    np.maximum(z, -OBS_CLIP, out=z)
+    return np.minimum(z, OBS_CLIP, out=z)
 
 
 class RewardScaler:
@@ -71,7 +86,7 @@ class RewardScaler:
         self.m2 = 1.0
 
     def std(self) -> float:
-        return float(np.sqrt(self.m2 / self.count))
+        return math.sqrt(self.m2 / self.count)
 
     def scale(self, reward: float, done: bool) -> float:
         scaled = reward / max(self.std(), STD_FLOOR)

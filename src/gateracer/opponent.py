@@ -3,12 +3,13 @@ centers. Doubles as the expert pace source for the reward timers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import DroneState
-from .geometry import Track
+from .geometry import Track, norm3
 
 DEFAULT_CRUISE_SPEED = 4.0
 DEFAULT_APPROACH_OFFSET = 1.0
@@ -19,6 +20,8 @@ class WaypointPlan:
     waypoints: np.ndarray  # (n, 3)
     cruise_speed: float = DEFAULT_CRUISE_SPEED
     gate_waypoint_indices: list[int] = field(default_factory=list)
+    # the waypoints as float triples, for the per-step advance
+    points: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.waypoints = np.asarray(self.waypoints, dtype=np.float64)
@@ -26,6 +29,7 @@ class WaypointPlan:
             raise ValueError("plan needs at least one waypoint")
         if self.cruise_speed <= 0:
             raise ValueError("cruise_speed must be positive")
+        self.points = self.waypoints.tolist()
 
 
 def plan(track: Track, cruise_speed: float = DEFAULT_CRUISE_SPEED,
@@ -72,34 +76,42 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pos = state.drone.position.copy()
+    x, y, z = state.drone.position.tolist()
+    points = p.points
     idx = state.waypoint_index
     t_left = dt
     speed = p.cruise_speed
-    vel = np.zeros(3)
-    while t_left > 0 and idx < len(p.waypoints):
-        delta = p.waypoints[idx] - pos
-        dist = float(np.linalg.norm(delta))
+    vx = vy = vz = 0.0
+    while t_left > 0 and idx < len(points):
+        wx, wy, wz = points[idx]
+        dx, dy, dz = wx - x, wy - y, wz - z
+        dist = norm3(dx, dy, dz)
         if dist <= speed * t_left:
-            pos = p.waypoints[idx].copy()
+            x, y, z = wx, wy, wz
             t_left -= dist / speed
             idx += 1
             continue
-        direction = delta / dist
-        pos = pos + direction * speed * t_left
-        vel = direction * speed
+        ux, uy, uz = dx / dist, dy / dist, dz / dist
+        x += ux * speed * t_left
+        y += uy * speed * t_left
+        z += uz * speed * t_left
+        vx, vy, vz = ux * speed, uy * speed, uz * speed
         t_left = 0.0
-    if idx < len(p.waypoints) and t_left == 0.0:
-        delta = p.waypoints[idx] - pos
-        dist = float(np.linalg.norm(delta))
+    if idx < len(points) and t_left == 0.0:
+        wx, wy, wz = points[idx]
+        dx, dy, dz = wx - x, wy - y, wz - z
+        dist = norm3(dx, dy, dz)
         if dist > 1e-12:
-            vel = delta / dist * speed
+            vx, vy, vz = (dx / dist * speed, dy / dist * speed,
+                          dz / dist * speed)
     yaw = state.drone.yaw
-    if np.hypot(vel[0], vel[1]) > 1e-9:
-        yaw = float(np.arctan2(vel[1], vel[0]))
+    if math.hypot(vx, vy) > 1e-9:
+        # numpy's arctan2, which differs from math.atan2 in the last bit
+        # on about one call in ten
+        yaw = float(np.arctan2(vy, vx))
     drone = DroneState(
-        position=pos,
-        velocity=vel,
+        position=np.array([x, y, z]),
+        velocity=np.array([vx, vy, vz]),
         attitude=np.array([0.0, 0.0, yaw]),
         angular_velocity=np.zeros(3),
         time=state.drone.time + dt,
@@ -110,13 +122,12 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
 def expected_gate_times(p: WaypointPlan, start) -> np.ndarray:
     """Cumulative polyline distance / cruise speed at each gate-center
     waypoint; strictly increasing for any valid plan."""
-    start = np.asarray(start, dtype=np.float64)
+    prev = np.asarray(start, dtype=np.float64).tolist()
     cum = 0.0
-    prev = start
     times = []
     gate_set = set(p.gate_waypoint_indices)
-    for i, wp in enumerate(p.waypoints):
-        cum += float(np.linalg.norm(wp - prev))
+    for i, wp in enumerate(p.points):
+        cum += norm3(wp[0] - prev[0], wp[1] - prev[1], wp[2] - prev[2])
         prev = wp
         if i in gate_set:
             times.append(cum / p.cruise_speed)

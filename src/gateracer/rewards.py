@@ -4,13 +4,13 @@ stuck penalty, and episode termination rules."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import DroneState
-from .geometry import PassEvent, Track
+from .geometry import PassEvent, Track, norm3
 
 TERM_NONE = "none"
 TERM_ALL_GATES = "all_gates"
@@ -69,12 +69,18 @@ def init_status(track: Track, opponent_times, cfg: RewardConfig,
     )
 
 
+def _distance(position: np.ndarray, center: np.ndarray) -> float:
+    x, y, z = position.tolist()
+    cx, cy, cz = center.tolist()
+    return norm3(x - cx, y - cy, z - cz)
+
+
 def check_termination(state: DroneState, status: EpisodeStatus,
                       cfg: RewardConfig, track: Track) -> str:
     if status.gates_passed >= track.n_gates:
         return TERM_ALL_GATES
     target = track.gates[min(status.target_gate, track.n_gates - 1)]
-    if float(np.linalg.norm(state.position - target.center)) > cfg.max_divergence:
+    if _distance(state.position, target.center) > cfg.max_divergence:
         return TERM_TOO_FAR
     if status.collisions >= cfg.collision_limit:
         return TERM_COLLISION_LIMIT
@@ -91,24 +97,27 @@ def compute_step(prev: DroneState, next_state: DroneState,
     """
     if status.done != TERM_NONE:
         raise ValueError("compute_step called on a finished episode")
-    opponent_times = np.asarray(opponent_times, dtype=np.float64)
     target = track.gates[status.target_gate]
-    d_prev = float(np.linalg.norm(prev.position - target.center))
-    d_next = float(np.linalg.norm(next_state.position - target.center))
+    d_prev = _distance(prev.position, target.center)
+    d_next = _distance(next_state.position, target.center)
 
     reward = cfg.progress_coef * (d_prev - d_next)
     if d_next < cfg.proximity_radius:
         reward += cfg.proximity_bonus
 
-    new = replace(status)
+    new = EpisodeStatus(target_gate=status.target_gate,
+                        gate_deadline=status.gate_deadline,
+                        collisions=status.collisions,
+                        gates_passed=status.gates_passed)
     pass_event: Optional[PassEvent] = events.get("pass")
     if pass_event is not None:
         reward += cfg.pass_reward
         new.gates_passed += 1
         new.target_gate = min(new.gates_passed, track.n_gates - 1)
         if new.gates_passed < track.n_gates:
+            times = np.asarray(opponent_times, dtype=np.float64)
             budget = cfg.timer_multiplier * float(
-                opponent_times[new.gates_passed] - opponent_times[new.gates_passed - 1])
+                times[new.gates_passed] - times[new.gates_passed - 1])
             new.gate_deadline = next_state.time + budget
 
     if events.get("collision"):
@@ -118,7 +127,7 @@ def compute_step(prev: DroneState, next_state: DroneState,
     if (pass_event is None and new.gates_passed > 0
             and next_state.time > new.gate_deadline):
         last_passed = track.gates[new.gates_passed - 1]
-        if float(np.linalg.norm(next_state.position - last_passed.center)) \
+        if _distance(next_state.position, last_passed.center) \
                 < cfg.proximity_radius:
             reward += cfg.stuck_penalty
 

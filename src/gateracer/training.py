@@ -3,6 +3,7 @@ checkpoint/resume with bit-exact continuation."""
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -28,6 +29,19 @@ def make_streams(seed: int) -> dict[str, np.random.Generator]:
             for name, child in zip(STREAM_NAMES, children)}
 
 
+def _truncate_to_checkpoint(metrics_path: str, ckpt_path: str,
+                            state: dict) -> None:
+    """Cut records written after the checkpoint (by a run that crashed
+    before its next save) from the metrics log beside that checkpoint,
+    so that the resumed run does not write them twice."""
+    length = state["scalars"].get("metrics_bytes")
+    if (length is not None and os.path.exists(metrics_path)
+            and os.path.samefile(os.path.dirname(os.path.abspath(ckpt_path)),
+                                 os.path.dirname(metrics_path))
+            and os.path.getsize(metrics_path) > length):
+        os.truncate(metrics_path, length)
+
+
 class Trainer:
     def __init__(self, run_cfg: RunConfig | None, seed: int, out_dir,
                  telemetry=None, resume: str | None = None):
@@ -51,8 +65,10 @@ class Trainer:
         self._last_update_stats: dict | None = None
         self.checkpoint_path = os.path.join(self.out_dir, "checkpoint.bin")
         self.base_track = resolve_track(run_cfg)
-        self.metrics = MetricsLogger(os.path.join(self.out_dir, "metrics.jsonl"),
-                                     telemetry=telemetry)
+        metrics_path = os.path.join(self.out_dir, "metrics.jsonl")
+        if state is not None:
+            _truncate_to_checkpoint(metrics_path, resume, state)
+        self.metrics = MetricsLogger(metrics_path, telemetry=telemetry)
 
         if state is not None:
             self._restore(state)
@@ -87,7 +103,7 @@ class Trainer:
             raw, clipped, logp = sample_action(mean, log_std,
                                                self.rngs["policy"])
             reward_raw, done, info = self.env.step(clipped)
-            if not np.isfinite(reward_raw):
+            if not math.isfinite(reward_raw):
                 raise RuntimeError(f"non-finite reward at step {self.global_step}")
             scaled = self.reward_scaler.scale(reward_raw, done)
             buf.add(obs_n, raw, logp, scaled, done)
@@ -173,7 +189,8 @@ class Trainer:
         arrays.update({f"adam_v{i:02d}": v for i, v in enumerate(self.adam.v)})
         arrays["pending_obs"] = self._pending_obs
         scalars.update(adam_t=self.adam.t,
-                       reward_scaler=self.reward_scaler.state_dict())
+                       reward_scaler=self.reward_scaler.state_dict(),
+                       metrics_bytes=os.path.getsize(self.metrics.path))
         return {
             "counters": {"global_step": self.global_step,
                          "episode_count": self.episode_count,

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gateracer.dynamics import (DroneState, DynamicsConfig, read_gps,
-                                read_imu, step)
+from gateracer.dynamics import (BANK_CAP, DroneState, DynamicsConfig,
+                                _wrap_angle, read_gps, read_imu, step)
+from gateracer.geometry import norm3
 
 
 def make_state(pos=(0, 0, 0), vel=(0, 0, 0), yaw=0.0, t=0.0):
@@ -141,3 +146,47 @@ def test_gps_noise_std():
     reads = np.array([read_gps(s, 0.05, rng) for _ in range(10_000)])
     stds = reads.std(axis=0)
     assert np.all(stds > 0.045) and np.all(stds < 0.055)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(st.floats(-1e3, 1e3, exclude_min=True, exclude_max=True))
+def test_wrap_angle_lands_in_range_by_whole_turns(a):
+    w = _wrap_angle(a)
+    assert -math.pi <= w <= math.pi
+    turns = (a - w) / (2.0 * math.pi)
+    assert abs(a - w - 2.0 * math.pi * round(turns)) <= 1e-9
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_vec = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+_command = st.lists(st.floats(-1e3, 1e3, **_finite), min_size=3, max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(position=st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+       direction=_vec, speed_frac=st.floats(0.0, 1.0),
+       roll_pitch=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       yaw=st.floats(-math.pi, math.pi),
+       angular_velocity=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+       time=st.floats(0.0, 1e3), command=_command,
+       as_array=st.booleans(), dt=st.floats(1e-3, 0.2))
+def test_step_keeps_its_limits(position, direction, speed_frac, roll_pitch,
+                               yaw, angular_velocity, time, command,
+                               as_array, dt):
+    """Any state inside the limits, any command (out of [-1, 1] too,
+    as a list or an array): the next state is inside them again."""
+    cfg = DynamicsConfig()
+    length = norm3(*direction)
+    scale = cfg.v_max * speed_frac / length if length > 0 else 0.0
+    s = DroneState(position=position,
+                   velocity=[c * scale for c in direction],
+                   attitude=[*roll_pitch, yaw],
+                   angular_velocity=angular_velocity, time=time)
+    nxt = step(s, np.array(command) if as_array else command, dt, cfg)
+
+    assert norm3(*nxt.velocity.tolist()) <= cfg.v_max * (1 + 1e-12)
+    roll, pitch, new_yaw = nxt.attitude.tolist()
+    assert abs(roll) <= BANK_CAP and abs(pitch) <= BANK_CAP
+    assert -math.pi <= new_yaw <= math.pi
+    assert abs(_wrap_angle(new_yaw - yaw)) <= cfg.yaw_rate_max * dt + 1e-12
+    assert nxt.time == time + dt

@@ -46,6 +46,49 @@ def test_frozen_stats_do_not_move():
     assert stats.count == snap["count"]
 
 
+def test_state_dict_snapshot_survives_later_updates():
+    stats = RunningStats(3)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        stats.update(rng.standard_normal(3))
+    snap = stats.state_dict()
+    want = {k: np.copy(v) for k, v in snap.items()}
+    mean = stats.mean
+    for _ in range(5):
+        normalize_observation(stats, rng.standard_normal(3))
+    assert stats.mean is mean  # the moments are updated in place
+    for k, v in want.items():
+        np.testing.assert_array_equal(snap[k], v)
+
+
+def _frozen_oracle(d, x):
+    std = np.sqrt(np.asarray(d["m2"]) / d["count"])
+    z = (np.asarray(x) - d["mean"]) / np.maximum(std, 1e-8)
+    return np.clip(z, -OBS_CLIP, OBS_CLIP)
+
+
+def test_frozen_normalization_follows_loaded_and_refrozen_moments():
+    rng = np.random.default_rng(6)
+    a, b = RunningStats(3), RunningStats(3)
+    for _ in range(20):
+        a.update(rng.normal(0.0, 1.0, 3))
+        b.update(rng.normal(4.0, 3.0, 3))
+    x = rng.standard_normal(3)
+    a.frozen = True
+    np.testing.assert_array_equal(normalize_observation(a, x),
+                                  _frozen_oracle(a.state_dict(), x))
+    # loading b's moments into the frozen a must replace what a used
+    a.load_state_dict({**b.state_dict(), "frozen": True})
+    np.testing.assert_array_equal(normalize_observation(a, x),
+                                  _frozen_oracle(b.state_dict(), x))
+    # thaw, move the moments, freeze again: the new moments apply
+    a.frozen = False
+    normalize_observation(a, rng.normal(50.0, 1.0, 3))
+    a.frozen = True
+    np.testing.assert_array_equal(normalize_observation(a, x),
+                                  _frozen_oracle(a.state_dict(), x))
+
+
 def test_normalize_dim_mismatch():
     with pytest.raises(ValueError):
         normalize_observation(RunningStats(3), [1.0, 2.0])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gateracer.checkpoint import load_checkpoint
+from gateracer.checkpoint import load_checkpoint, save_checkpoint
 from gateracer.config import RunConfig, TrackSettings
 from gateracer.geometry import track_to_dict
 from gateracer.networks import forward_batch
@@ -155,3 +155,45 @@ def test_metrics_schema(tmp_path):
 def test_unwritable_out_dir():
     with pytest.raises(OSError):
         Trainer(small_cfg(), seed=0, out_dir="/proc/forbidden")
+
+
+def _crash_cfg():
+    cfg = small_cfg(total_steps=10 * 256)
+    cfg.train.rollout_steps = 256
+    cfg.harness.checkpoint_interval = 5
+    return cfg
+
+
+def _crash_after_seven_updates(out_dir):
+    """Seven updates with a checkpoint after the fifth, then the process
+    dies: no final save, and the log holds records past the checkpoint."""
+    tr = Trainer(_crash_cfg(), seed=4, out_dir=out_dir)
+    for _ in range(7):
+        tr.iterate()
+    tr.metrics.close()
+    path = out_dir / "checkpoint.bin"
+    assert load_checkpoint(path)["counters"]["update_count"] == 5
+    return path
+
+
+def test_resume_after_a_crash_writes_no_duplicate_metrics(tmp_path):
+    Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "full").train()
+    want = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+
+    path = _crash_after_seven_updates(tmp_path / "crash")
+    Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "crash",
+            resume=str(path)).train()
+    assert (tmp_path / "crash" / "metrics.jsonl").read_bytes() == want
+
+
+def test_checkpoint_without_metrics_length_resumes_as_before(tmp_path):
+    """Checkpoints written before the log length was recorded still load;
+    the log is then appended to, not cut."""
+    path = _crash_after_seven_updates(tmp_path)
+    state = load_checkpoint(path)
+    del state["scalars"]["metrics_bytes"]
+    save_checkpoint(path, state)
+    before = (tmp_path / "metrics.jsonl").read_bytes()
+    tr = Trainer(_crash_cfg(), seed=4, out_dir=tmp_path, resume=str(path))
+    tr.metrics.close()
+    assert (tmp_path / "metrics.jsonl").read_bytes() == before
