@@ -39,14 +39,23 @@ def save_checkpoint(path, state: dict) -> None:
     tmp = str(path) + ".tmp"
     # a ZipInfo built from a name carries a fixed 1980 timestamp, so the
     # same state always gives the same bytes
-    with zipfile.ZipFile(tmp, "w") as zf:
-        zf.writestr(zipfile.ZipInfo(_HEADER_MEMBER),
-                    json.dumps(header, sort_keys=True))
-        for name in sorted(arrays):
-            a = np.ascontiguousarray(arrays[name], dtype="<f8")
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                npy_format.write_array(fh, a, allow_pickle=False)
+    with open(tmp, "wb") as out:
+        with zipfile.ZipFile(out, "w") as zf:
+            zf.writestr(zipfile.ZipInfo(_HEADER_MEMBER),
+                        json.dumps(header, sort_keys=True))
+            for name in sorted(arrays):
+                a = np.ascontiguousarray(arrays[name], dtype="<f8")
+                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                    npy_format.write_array(fh, a, allow_pickle=False)
+        # synced before the rename publishes it, the directory after it
+        out.flush()
+        os.fsync(out.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_checkpoint(path) -> dict:

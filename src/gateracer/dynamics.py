@@ -4,7 +4,7 @@ first-order lag, plus synthetic IMU / GPS readouts."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,32 +14,36 @@ GRAVITY = 9.81
 BANK_CAP = math.pi / 6.0  # roll/pitch limit of the banked-turn proxy
 
 
+def _vec3(v) -> tuple:
+    x, y, z = v
+    return (float(x), float(y), float(z))
+
+
 @dataclass
 class DroneState:
-    position: np.ndarray
-    velocity: np.ndarray
-    attitude: np.ndarray  # roll, pitch, yaw
-    angular_velocity: np.ndarray
+    """Each vector is a 3-tuple of Python floats: the step functions
+    unpack it with no numpy call, and an in-place write raises."""
+
+    position: tuple
+    velocity: tuple
+    attitude: tuple  # roll, pitch, yaw
+    angular_velocity: tuple
     time: float = 0.0
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
-        self.attitude = np.asarray(self.attitude, dtype=np.float64)
-        self.angular_velocity = np.asarray(self.angular_velocity, dtype=np.float64)
+        # the step functions pass tuples of floats, taken as given; any
+        # other 3-sequence (an array, a JSON list) is converted once
+        v = (self.position, self.velocity, self.attitude, self.angular_velocity)
+        if not type(v[0]) is type(v[1]) is type(v[2]) is type(v[3]) is tuple:
+            (self.position, self.velocity, self.attitude,
+             self.angular_velocity) = map(_vec3, v)
 
     @property
     def yaw(self) -> float:
-        return float(self.attitude[2])
+        return self.attitude[2]
 
     def copy(self) -> "DroneState":
-        return DroneState(
-            position=self.position.copy(),
-            velocity=self.velocity.copy(),
-            attitude=self.attitude.copy(),
-            angular_velocity=self.angular_velocity.copy(),
-            time=self.time,
-        )
+        return replace(self)
 
 
 @dataclass
@@ -68,9 +72,9 @@ class DynamicsConfig:
 
 @dataclass
 class ImuReading:
-    linear_velocity: np.ndarray
-    angular_velocity: np.ndarray
-    attitude: np.ndarray
+    linear_velocity: tuple
+    angular_velocity: tuple
+    attitude: tuple
 
 
 def step(state: DroneState, cmd, dt: float, cfg: DynamicsConfig) -> DroneState:
@@ -84,9 +88,9 @@ def step(state: DroneState, cmd, dt: float, cfg: DynamicsConfig) -> DroneState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     c0, c1, c2 = np.asarray(cmd, dtype=np.float64).tolist()
-    px, py, pz = state.position.tolist()
-    vx, vy, vz = state.velocity.tolist()
-    roll0, pitch0, yaw0 = state.attitude.tolist()
+    px, py, pz = state.position
+    vx, vy, vz = state.velocity
+    roll0, pitch0, yaw0 = state.attitude
     scale = cfg.command_scale
 
     tx = vx + min(max(c0, -1.0), 1.0) * scale
@@ -118,13 +122,12 @@ def step(state: DroneState, cmd, dt: float, cfg: DynamicsConfig) -> DroneState:
     pitch = min(max(-math.atan2(a_fwd, GRAVITY), -BANK_CAP), BANK_CAP)
 
     return DroneState(
-        position=np.array([px + 0.5 * (vx + nvx) * dt,
-                           py + 0.5 * (vy + nvy) * dt,
-                           pz + 0.5 * (vz + nvz) * dt]),
-        velocity=np.array([nvx, nvy, nvz]),
-        attitude=np.array([roll, pitch, yaw]),
-        angular_velocity=np.array([(roll - roll0) / dt, (pitch - pitch0) / dt,
-                                   _wrap_angle(yaw - yaw0) / dt]),
+        position=(px + 0.5 * (vx + nvx) * dt, py + 0.5 * (vy + nvy) * dt,
+                  pz + 0.5 * (vz + nvz) * dt),
+        velocity=(nvx, nvy, nvz),
+        attitude=(roll, pitch, yaw),
+        angular_velocity=((roll - roll0) / dt, (pitch - pitch0) / dt,
+                          _wrap_angle(yaw - yaw0) / dt),
         time=state.time + dt,
     )
 
@@ -145,27 +148,23 @@ def read_imu(state: DroneState, noise_std, rng: np.random.Generator) -> ImuReadi
     if min(noise_std) < 0:
         raise ValueError("noise_std must be non-negative")
     if not max(noise_std) > 0:
-        return ImuReading(linear_velocity=state.velocity.copy(),
-                          angular_velocity=state.angular_velocity.copy(),
-                          attitude=state.attitude.copy())
+        return ImuReading(linear_velocity=state.velocity,
+                          angular_velocity=state.angular_velocity,
+                          attitude=state.attitude)
     n = np.asarray(noise_std, dtype=np.float64).tolist()
     e = rng.standard_normal(9).tolist()
-    lin = state.velocity.tolist()
-    ang = state.angular_velocity.tolist()
-    att = state.attitude.tolist()
+    lin, ang, att = state.velocity, state.angular_velocity, state.attitude
     return ImuReading(
-        linear_velocity=np.array([lin[i] + n[i] * e[i] for i in range(3)]),
-        angular_velocity=np.array([ang[i] + n[3 + i] * e[3 + i]
-                                   for i in range(3)]),
-        attitude=np.array([att[i] + n[6] * e[6 + i] for i in range(3)]))
+        linear_velocity=tuple(lin[i] + n[i] * e[i] for i in range(3)),
+        angular_velocity=tuple(ang[i] + n[3 + i] * e[3 + i] for i in range(3)),
+        attitude=tuple(att[i] + n[6] * e[6 + i] for i in range(3)))
 
 
-def read_gps(state: DroneState, noise_std: float, rng: np.random.Generator) -> np.ndarray:
+def read_gps(state: DroneState, noise_std: float, rng: np.random.Generator) -> tuple:
     """Position plus isotropic Gaussian noise; exact when noise_std = 0."""
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
     if not noise_std > 0:
-        return state.position.copy()
+        return state.position
     e = rng.standard_normal(3).tolist()
-    return np.array([p + noise_std * d
-                     for p, d in zip(state.position.tolist(), e)])
+    return tuple(p + noise_std * d for p, d in zip(state.position, e))

@@ -29,28 +29,21 @@ def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
     if status.done != TERM_NONE:
         raise ValueError("cannot observe a finished episode")
     gate = track.gates[status.target_gate]
-    x, y, z = agent.position.tolist()
+    x, y, z = agent.position
     gx, gy, gz = gate.center.tolist()
-    ox, oy, oz = np.asarray(opponent_gps, dtype=np.float64).tolist()
+    ox, oy, oz = opponent_gps
     yaw = agent.yaw
     c, s = math.cos(yaw), math.sin(yaw)
     # the gate and opponent vectors rotated into the agent's yaw frame
     gx, gy, gz = gx - x, gy - y, gz - z
     ox, oy, oz = ox - x, oy - y, oz - z
     return np.array(
-        imu.linear_velocity.tolist() + imu.angular_velocity.tolist()
-        + imu.attitude.tolist() + np.asarray(gps, dtype=np.float64).tolist()
-        + [c * gx + s * gy, -s * gx + c * gy, gz,
-           _wrap_angle(gate.yaw - yaw),
-           c * ox + s * oy, -s * ox + c * oy, oz,
-           status.gates_passed / track.n_gates,
-           (status.gate_deadline - agent.time) * TIMER_OBS_SCALE])
-
-
-def _drone_json(d: DroneState) -> dict:
-    return {"position": d.position.tolist(), "velocity": d.velocity.tolist(),
-            "attitude": d.attitude.tolist(),
-            "angular_velocity": d.angular_velocity.tolist(), "time": d.time}
+        [*imu.linear_velocity, *imu.angular_velocity, *imu.attitude, *gps,
+         c * gx + s * gy, -s * gx + c * gy, gz,
+         _wrap_angle(gate.yaw - yaw),
+         c * ox + s * oy, -s * ox + c * oy, oz,
+         status.gates_passed / track.n_gates,
+         (status.gate_deadline - agent.time) * TIMER_OBS_SCALE])
 
 
 @dataclass
@@ -128,8 +121,8 @@ class RacingEnv:
         caller and are not included; the track is, for rebuilding the env
         (construct on `track_from_dict(state["track"])`, then load)."""
         return {
-            "agent": _drone_json(self.agent),
-            "opponent": _drone_json(self.opp.drone),
+            "agent": dataclasses.asdict(self.agent),
+            "opponent": dataclasses.asdict(self.opp.drone),
             "opponent_waypoint": self.opp.waypoint_index,
             "status": dataclasses.asdict(self.status),
             "opponent_times": self.opponent_times.tolist(),
@@ -158,7 +151,7 @@ class RacingEnv:
         """Geometric events for one step: the gate-pass test is only
         invoked near the target gate; frame collisions are checked, in
         gate order, against every gate within reach."""
-        x, y, z = nxt.position.tolist()
+        x, y, z = nxt.position
         dist = [norm3(x - cx, y - cy, z - cz)
                 for cx, cy, cz in self._gate_centers]
         target = self.status.target_gate

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .checkpoint import load_policy
@@ -35,7 +37,7 @@ def _policy_action(params, stats, obs_raw, deterministic, rng):
     obs_n = normalize_observation(stats, obs_raw)
     mean, log_std = forward(params, obs_n)
     if deterministic:
-        return np.clip(mean, -1.0, 1.0)
+        return [min(max(m, -1.0), 1.0) for m in mean.tolist()]
     _, clipped, _ = sample_action(mean, log_std, rng)
     return clipped
 
@@ -44,14 +46,16 @@ def _displaced_spawn(track: Track, rng, spawn_distance, yaw_error):
     """Spawn at a fixed center distance with a +/- yaw offset; used for
     the off-nominal recovery evaluation."""
     spawn = sample_spawn(track, 0, rng)
-    gate = track.gates[0]
-    to_gate = gate.center - spawn.position
-    d = norm3(*to_gate.tolist())
     if spawn_distance is not None:
-        spawn.position = gate.center - to_gate / d * spawn_distance
+        center = track.gates[0].center.tolist()
+        to_gate = [c - p for c, p in zip(center, spawn.position)]
+        d = norm3(*to_gate)
+        spawn = replace(spawn, position=[c - t / d * spawn_distance
+                                         for c, t in zip(center, to_gate)])
     if yaw_error:
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        spawn.attitude[2] += sign * yaw_error
+        roll, pitch, yaw = spawn.attitude
+        spawn = replace(spawn, attitude=(roll, pitch, yaw + sign * yaw_error))
     return spawn
 
 
@@ -108,7 +112,7 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
         while outcome is None:
             action = _policy_action(params, stats, obs_raw, deterministic,
                                     action_rng)
-            opp_prev = env.opp.drone.position.copy()
+            opp_prev = env.opp.drone.position
             _, done, info = env.step(action)
             # track the opponent's own gate progress on the same step
             if opp_target < track.n_gates:

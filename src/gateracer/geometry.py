@@ -106,8 +106,8 @@ def segment_gate_crossing(p0, p1, gate: Gate):
     non-negative side, and the in-plane offsets of the intersection must
     fit the opening.
     """
-    x0, y0, z0 = np.asarray(p0, dtype=np.float64).tolist()
-    x1, y1, z1 = np.asarray(p1, dtype=np.float64).tolist()
+    x0, y0, z0 = p0
+    x1, y1, z1 = p1
     cx, cy, cz = gate.center.tolist()
     nx = math.cos(gate.yaw)
     ny = math.sin(gate.yaw)
@@ -149,8 +149,8 @@ def segment_frame_collision(p0, p1, gate: Gate, drone_radius: float) -> bool:
     """
     if drone_radius <= 0:
         raise ValueError("drone_radius must be positive")
-    x0, y0, z0 = np.asarray(p0, dtype=np.float64).tolist()
-    x1, y1, z1 = np.asarray(p1, dtype=np.float64).tolist()
+    x0, y0, z0 = p0
+    x1, y1, z1 = p1
     cx, cy, cz = gate.center.tolist()
     nx = math.cos(gate.yaw)
     ny = math.sin(gate.yaw)
@@ -215,13 +215,9 @@ def sample_spawn(track: Track, target_gate: int, rng: np.random.Generator):
            + v_off * np.array([0.0, 0.0, 1.0]))
     to_gate = gate.center - pos
     yaw = math.atan2(to_gate[1], to_gate[0])
-    return DroneState(
-        position=pos,
-        velocity=np.zeros(3),
-        attitude=np.array([0.0, 0.0, yaw]),
-        angular_velocity=np.zeros(3),
-        time=0.0,
-    )
+    return DroneState(position=pos, velocity=(0.0, 0.0, 0.0),
+                      attitude=(0.0, 0.0, yaw),
+                      angular_velocity=(0.0, 0.0, 0.0), time=0.0)
 
 
 def track_to_dict(track: Track) -> dict:

@@ -59,10 +59,6 @@ class FollowerState:
     drone: DroneState
     waypoint_index: int = 0
 
-    def copy(self) -> "FollowerState":
-        return FollowerState(drone=self.drone.copy(),
-                             waypoint_index=self.waypoint_index)
-
 
 def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
     """Move at cruise speed along the waypoint polyline for one step.
@@ -76,7 +72,7 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x, y, z = state.drone.position.tolist()
+    x, y, z = state.drone.position
     points = p.points
     idx = state.waypoint_index
     t_left = dt
@@ -109,13 +105,10 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
         # numpy's arctan2, which differs from math.atan2 in the last bit
         # on about one call in ten
         yaw = float(np.arctan2(vy, vx))
-    drone = DroneState(
-        position=np.array([x, y, z]),
-        velocity=np.array([vx, vy, vz]),
-        attitude=np.array([0.0, 0.0, yaw]),
-        angular_velocity=np.zeros(3),
-        time=state.drone.time + dt,
-    )
+    drone = DroneState(position=(x, y, z), velocity=(vx, vy, vz),
+                       attitude=(0.0, 0.0, yaw),
+                       angular_velocity=(0.0, 0.0, 0.0),
+                       time=state.drone.time + dt)
     return FollowerState(drone=drone, waypoint_index=idx)
 
 

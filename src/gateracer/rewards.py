@@ -69,8 +69,8 @@ def init_status(track: Track, opponent_times, cfg: RewardConfig,
     )
 
 
-def _distance(position: np.ndarray, center: np.ndarray) -> float:
-    x, y, z = position.tolist()
+def _distance(position: tuple, center: np.ndarray) -> float:
+    x, y, z = position
     cx, cy, cz = center.tolist()
     return norm3(x - cx, y - cy, z - cz)
 

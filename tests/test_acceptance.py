@@ -415,7 +415,7 @@ def test_criterion_8_opponent_baseline(capfd):
         t = 0.0
         max_steps = int(track.time_limit / dt) * 4
         for _ in range(max_steps):
-            prev = state.drone.position.copy()
+            prev = state.drone.position
             state = advance(p, state, dt)
             t += dt
             for gate in track.gates:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 import zipfile
 
@@ -47,6 +49,29 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(p1, state)
     save_checkpoint(p2, state)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_syncs_file_before_replace_and_directory_after(tmp_path,
+                                                           monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(("fsync", kind))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", None))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, sample_state(np.random.default_rng(0)))
+    assert events == [("fsync", "file"), ("replace", None), ("fsync", "dir")]
+    assert not (tmp_path / "ck.bin.tmp").exists()
+    load_checkpoint(path)
 
 
 def test_bad_magic(tmp_path):

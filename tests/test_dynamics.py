@@ -31,7 +31,7 @@ def test_zero_lag_limit():
     np.testing.assert_allclose(s1.velocity, [2.0, 0.0, 0.0], atol=1e-12)
     # velocity holds once reached: the next step advances by v*dt exactly
     s2 = step(s1, np.zeros(3), cfg.dt, cfg)
-    np.testing.assert_allclose(s2.position - s1.position,
+    np.testing.assert_allclose(np.asarray(s2.position) - s1.position,
                                [2.0 * cfg.dt, 0.0, 0.0], atol=1e-12)
 
 
@@ -184,8 +184,8 @@ def test_step_keeps_its_limits(position, direction, speed_frac, roll_pitch,
                    angular_velocity=angular_velocity, time=time)
     nxt = step(s, np.array(command) if as_array else command, dt, cfg)
 
-    assert norm3(*nxt.velocity.tolist()) <= cfg.v_max * (1 + 1e-12)
-    roll, pitch, new_yaw = nxt.attitude.tolist()
+    assert norm3(*nxt.velocity) <= cfg.v_max * (1 + 1e-12)
+    roll, pitch, new_yaw = nxt.attitude
     assert abs(roll) <= BANK_CAP and abs(pitch) <= BANK_CAP
     assert -math.pi <= new_yaw <= math.pi
     assert abs(_wrap_angle(new_yaw - yaw)) <= cfg.yaw_rate_max * dt + 1e-12

@@ -53,7 +53,7 @@ def test_observation_layout():
     assert rel_yaw == pytest.approx(
         (gate.yaw - yaw + math.pi) % (2 * math.pi) - math.pi)
 
-    opp_rel = env.opp.drone.position - agent.position
+    opp_rel = np.asarray(env.opp.drone.position) - agent.position
     want_opp = [c * opp_rel[0] + s * opp_rel[1],
                 -s * opp_rel[0] + c * opp_rel[1], opp_rel[2]]
     np.testing.assert_allclose(obs[16:19], want_opp, atol=1e-12)
@@ -165,12 +165,12 @@ def test_episode_info_on_termination():
 def test_opponent_advances_during_episode():
     env = make_env()
     env.reset()
-    p0 = env.opp.drone.position.copy()
+    p0 = env.opp.drone.position
     for _ in range(20):
         _, done, _ = env.step(np.zeros(3))
         if done:
             break
-    assert np.linalg.norm(env.opp.drone.position - p0) > 1.0
+    assert np.linalg.norm(np.asarray(env.opp.drone.position) - p0) > 1.0
 
 
 def test_reset_uses_spawn_band():
@@ -211,3 +211,63 @@ def test_state_dict_roundtrip_continues_bitwise():
         np.testing.assert_array_equal(env.observe(), other.observe())
     assert done
     assert info1["episode"] == info2["episode"]
+
+
+def _assert_float_triples(*vectors):
+    for v in vectors:
+        assert type(v) is tuple and len(v) == 3
+        assert all(type(x) is float for x in v), v
+
+
+def _assert_float_state(s: DroneState):
+    _assert_float_triples(s.position, s.velocity, s.attitude,
+                          s.angular_velocity)
+
+
+def test_every_drone_state_holds_float_triples():
+    """However a state is built, its vectors are 3-tuples of Python floats
+    (not np.float64), and the sensor readings are tuples too."""
+    from gateracer import dynamics, opponent
+    from gateracer.geometry import sample_spawn
+
+    env = make_env()
+    env.reset()
+    spawn = sample_spawn(env.track, 0, np.random.default_rng(3))
+    _assert_float_state(spawn)
+    _assert_float_state(spawn.copy())
+    nxt = dynamics.step(spawn, np.array([0.4, -0.2, 0.1]), 0.05,
+                        env.dyn_cfg)
+    _assert_float_state(nxt)
+    _assert_float_state(dynamics.step(nxt, [1, 0, 0], 0.05, env.dyn_cfg))
+    follower = opponent.advance(env.plan, env.opp, 0.05)
+    _assert_float_state(follower.drone)
+    _assert_float_state(DroneState(position=np.array([1.0, 2.0, 3.0]),
+                                   velocity=np.zeros(3),
+                                   attitude=np.array([0.1, 0.2, 0.3]),
+                                   angular_velocity=[0, 0, 1]))
+
+    for _ in range(5):
+        env.step(np.array([0.5, 0.1, 0.0]))
+    state = json.loads(json.dumps(env.state_dict()))
+    other = make_env()
+    other.load_state_dict(state)
+    _assert_float_state(other.agent)
+    _assert_float_state(other.opp.drone)
+    assert json.loads(json.dumps(other.state_dict())) == state
+
+    rng = np.random.default_rng(0)
+    for noise in ((0.0,) * 7, (0.1,) * 7):
+        imu = dynamics.read_imu(env.agent, noise, rng)
+        _assert_float_triples(imu.linear_velocity, imu.angular_velocity,
+                              imu.attitude)
+    for noise in (0.0, 0.2):
+        _assert_float_triples(dynamics.read_gps(env.agent, noise, rng))
+    obs = env.observe()
+    assert obs.dtype == np.float64 and obs.shape == (OBS_DIM,)
+
+
+def test_drone_state_vectors_cannot_be_written_in_place():
+    env = make_env()
+    env.reset()
+    with pytest.raises(TypeError):
+        env.agent.position[0] = 1.0

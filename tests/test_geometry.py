@@ -255,7 +255,7 @@ def test_spawn_deterministic_and_facing():
     a = sample_spawn(track, 2, np.random.default_rng(5))
     b = sample_spawn(track, 2, np.random.default_rng(5))
     np.testing.assert_array_equal(a.position, b.position)
-    assert np.all(a.velocity == 0.0)
+    assert np.all(np.asarray(a.velocity) == 0.0)
     to_gate = track.gates[2].center - a.position
     assert abs(math.atan2(to_gate[1], to_gate[0]) - a.yaw) < 1e-12
 
