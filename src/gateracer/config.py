@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,6 +34,16 @@ class TrackSettings:
     n_gates: int = 10
     spacing: tuple = (10.0, 15.0)
     randomize_per_episode: bool = False  # fixed track is the default
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.n_gates < 1:
+            raise ValueError("n_gates must be at least 1")
+        lo, hi = self.spacing
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError("spacing must be [min, max] with "
+                             f"0 < min <= max < inf, got {list(self.spacing)}")
 
 
 @dataclass
@@ -103,7 +114,8 @@ def _build_block(cls, data: dict, name: str):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - fields
     if unknown:
-        raise ConfigError(f"unknown keys in '{name}' block: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in '{name}' block: "
+                          f"{sorted(unknown, key=repr)}")
     types = typing.get_type_hints(cls)
     coerced = {}
     for f in dataclasses.fields(cls):
@@ -128,11 +140,13 @@ def run_config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("run config must be a mapping of blocks")
     unknown = set(data) - set(_BLOCKS)
     if unknown:
-        raise ConfigError(f"unknown config blocks: {sorted(unknown)}")
+        raise ConfigError(f"unknown config blocks: {sorted(unknown, key=repr)}")
     kwargs = {}
     for name, cls in _BLOCKS.items():
-        block = data.get(name, {}) or {}
-        if not isinstance(block, dict):
+        block = data.get(name)
+        if block is None:  # an absent or empty (null) block
+            block = {}
+        elif not isinstance(block, dict):
             raise ConfigError(f"block '{name}' must be a mapping")
         kwargs[name] = _build_block(cls, block, name)
     return RunConfig(**kwargs)
@@ -141,12 +155,13 @@ def run_config_from_dict(data: dict) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+            data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
-    return run_config_from_dict(data)
+    # an empty file loads as None; any other non-mapping is refused
+    return run_config_from_dict({} if data is None else data)
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
@@ -165,7 +180,7 @@ def resolve_track(cfg: RunConfig, track_rng=None) -> Track:
     if ts.file:
         try:
             return load_track(ts.file)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError(f"cannot read track file: {exc}") from exc
     seed = ts.seed
     if track_rng is not None and ts.randomize_per_episode:

@@ -1,4 +1,8 @@
-"""Policy evaluation and head-to-head races against the planner."""
+"""Policy evaluation and head-to-head races against the planner.
+
+Both step all their episodes in lockstep: each episode has its own env
+and its own spawn, sensor and action streams, and each lockstep step
+makes one batched actor forward over the episodes still running."""
 
 from __future__ import annotations
 
@@ -11,35 +15,65 @@ from .config import run_config_from_dict
 from .env import RacingEnv
 from .geometry import (Track, norm3, sample_spawn, segment_gate_crossing,
                        track_from_dict)
-from .networks import forward, sample_action
+from .networks import forward, forward_batch, sample_action
 from .normalization import normalize_observation
 from .rewards import TERM_ALL_GATES
 
 
 def _setup(ckpt_state: dict, episodes: int, track: Track | None, seed: int):
-    """Frozen policy, track and env for `episodes` episodes; the
-    seed fans out into spawn, sensor and action streams."""
+    """Frozen policy, and one env and action stream per episode. The seed
+    fans out into one child per episode, and each child into spawn,
+    sensor and action streams, so an episode's draws do not depend on
+    how many episodes run beside it."""
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
     params, stats = load_policy(ckpt_state, frozen=True)
     cfg = run_config_from_dict(ckpt_state["config"])
     track = track or track_from_dict(ckpt_state["track"])
-    spawn_rng, sensor_rng, action_rng = (
-        np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
-    env = RacingEnv(track, cfg.dynamics, cfg.reward,
-                    opponent_cfg=cfg.opponent, spawn_rng=spawn_rng,
-                    sensor_rng=sensor_rng,
-                    drone_radius=cfg.harness.drone_radius)
-    return params, stats, track, env, action_rng
+    envs, action_rngs = [], []
+    for child in np.random.SeedSequence(seed).spawn(episodes):
+        spawn_rng, sensor_rng, action_rng = (
+            np.random.default_rng(c) for c in child.spawn(3))
+        envs.append(RacingEnv(track, cfg.dynamics, cfg.reward,
+                              opponent_cfg=cfg.opponent, spawn_rng=spawn_rng,
+                              sensor_rng=sensor_rng,
+                              drone_radius=cfg.harness.drone_radius))
+        action_rngs.append(action_rng)
+    return params, stats, envs, action_rngs
 
 
-def _policy_action(params, stats, obs_raw, deterministic, rng):
-    obs_n = normalize_observation(stats, obs_raw)
-    mean, log_std = forward(params, obs_n)
-    if deterministic:
-        return [min(max(m, -1.0), 1.0) for m in mean.tolist()]
-    _, clipped, _ = sample_action(mean, log_std, rng)
-    return clipped
+def _lockstep(params, stats, envs, obs, action_rngs, deterministic,
+              step) -> None:
+    """Steps every episode until `step(k, action)` reports episode k over.
+
+    `obs` holds each env's first observation. Each lockstep step
+    normalizes the live episodes' observations as one `(live, 21)` array
+    and runs one batched actor forward over them; an episode leaves the
+    batch once it is over. The last live episode, which is every episode
+    of a one-episode call, runs on alone with the single-observation
+    `forward`, whose matrix-vector products cost less than a one-row
+    batch."""
+    live = list(range(len(envs)))
+    while len(live) > 1:
+        mean = forward_batch(params.actor,
+                             normalize_observation(stats, np.array(obs)))[3]
+        if deterministic:
+            actions = np.clip(mean, -1.0, 1.0).tolist()
+        else:
+            actions = [sample_action(m, params.log_std, action_rngs[k])[1]
+                       for k, m in zip(live, mean)]
+        live = [k for k, a in zip(live, actions) if not step(k, a)]
+        obs = [envs[k].observe() for k in live]
+    for k, o in zip(live, obs):
+        while True:
+            mean, log_std = forward(params, normalize_observation(stats, o))
+            if deterministic:
+                action = [min(max(m, -1.0), 1.0) for m in mean.tolist()]
+            else:
+                action = sample_action(mean, log_std, action_rngs[k])[1]
+            if step(k, action):
+                break
+            o = envs[k].observe()
 
 
 def _displaced_spawn(track: Track, rng, spawn_distance, yaw_error):
@@ -65,35 +99,25 @@ def evaluate(ckpt_state: dict, episodes: int, deterministic: bool = False,
              yaw_error: float = 0.0) -> dict:
     """Run episodes with frozen normalization statistics; spawns are drawn
     per episode from the spawn band (optionally displaced)."""
-    params, stats, track, env, action_rng = _setup(ckpt_state, episodes,
-                                                   track, seed)
-    completions = 0
-    gates, times, collisions = [], [], []
-    for _ in range(episodes):
+    params, stats, envs, action_rngs = _setup(ckpt_state, episodes, track,
+                                              seed)
+    obs = []
+    for env in envs:
         override = None
         if spawn_distance is not None or yaw_error:
-            override = _displaced_spawn(track, env.spawn_rng,
+            override = _displaced_spawn(env.track, env.spawn_rng,
                                         spawn_distance, yaw_error)
-        obs_raw = env.reset(spawn_override=override)
-        done = False
-        while not done:
-            action = _policy_action(params, stats, obs_raw, deterministic,
-                                    action_rng)
-            _, done, info = env.step(action)
-            if not done:
-                obs_raw = env.observe()
-        ep = info["episode"]
-        if ep.termination == TERM_ALL_GATES:
-            completions += 1
-        gates.append(ep.gates_passed)
-        times.append(ep.duration)
-        collisions.append(ep.collisions)
+        obs.append(env.reset(spawn_override=override))
+    _lockstep(params, stats, envs, obs, action_rngs, deterministic,
+              lambda k, action: envs[k].step(action)[1])
+    ends = [env.status for env in envs]
     return {
         "episodes": episodes,
-        "completion_rate": completions / episodes,
-        "mean_gates_passed": float(np.mean(gates)),
-        "mean_time": float(np.mean(times)),
-        "mean_collisions": float(np.mean(collisions)),
+        "completion_rate": sum(s.done == TERM_ALL_GATES
+                               for s in ends) / episodes,
+        "mean_gates_passed": float(np.mean([s.gates_passed for s in ends])),
+        "mean_time": float(np.mean([env.agent.time for env in envs])),
+        "mean_collisions": float(np.mean([s.collisions for s in ends])),
     }
 
 
@@ -102,39 +126,32 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
     """Agent and opponent step in lockstep from the same spawn; winner is
     the first to pass every gate, ties go to the opponent. Agent
     termination before finishing counts as a DNF."""
-    params, stats, track, env, action_rng = _setup(ckpt_state, episodes,
-                                                   track, seed)
-    agent_wins = opponent_wins = dnfs = 0
-    for _ in range(episodes):
-        obs_raw = env.reset()
-        opp_target = 0
-        outcome = None
-        while outcome is None:
-            action = _policy_action(params, stats, obs_raw, deterministic,
-                                    action_rng)
-            opp_prev = env.opp.drone.position
-            _, done, info = env.step(action)
-            # track the opponent's own gate progress on the same step
-            if opp_target < track.n_gates:
-                point = segment_gate_crossing(opp_prev, env.opp.drone.position,
-                                              track.gates[opp_target])
-                if point is not None:
-                    opp_target += 1
-            agent_finished = done and info["episode"].termination == TERM_ALL_GATES
-            opp_finished = opp_target >= track.n_gates
-            if opp_finished:
-                outcome = "opponent"  # ties break to the opponent
-            elif agent_finished:
-                outcome = "agent"
-            elif done:
-                outcome = "dnf"
-            else:
-                obs_raw = env.observe()
-        if outcome == "agent":
-            agent_wins += 1
-        elif outcome == "opponent":
-            opponent_wins += 1
-        else:
-            dnfs += 1
-    return {"episodes": episodes, "agent_wins": agent_wins,
-            "opponent_wins": opponent_wins, "agent_dnf": dnfs}
+    params, stats, envs, action_rngs = _setup(ckpt_state, episodes, track,
+                                              seed)
+    obs = [env.reset() for env in envs]
+    opp_target = [0] * episodes
+    outcomes = [None] * episodes
+
+    def step(k, action):
+        env = envs[k]
+        gates = env.track.gates
+        opp_prev = env.opp.drone.position
+        _, done, info = env.step(action)
+        # track the opponent's own gate progress on the same step
+        if opp_target[k] < len(gates):
+            point = segment_gate_crossing(opp_prev, env.opp.drone.position,
+                                          gates[opp_target[k]])
+            if point is not None:
+                opp_target[k] += 1
+        if opp_target[k] >= len(gates):
+            outcomes[k] = "opponent"  # ties break to the opponent
+        elif done and info["episode"].termination == TERM_ALL_GATES:
+            outcomes[k] = "agent"
+        elif done:
+            outcomes[k] = "dnf"
+        return outcomes[k] is not None
+
+    _lockstep(params, stats, envs, obs, action_rngs, deterministic, step)
+    return {"episodes": episodes, "agent_wins": outcomes.count("agent"),
+            "opponent_wins": outcomes.count("opponent"),
+            "agent_dnf": outcomes.count("dnf")}

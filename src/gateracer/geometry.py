@@ -90,7 +90,10 @@ def default_track(seed: int, n_gates: int = 10,
         heading += rng.uniform(-math.pi / 4, math.pi / 4)
         dist = rng.uniform(spacing[0], spacing[1])
         dz = rng.uniform(-max_climb, max_climb)
-        dz = min(max(dz, z_range[0] - center[2]), z_range[1] - center[2])
+        # a climb longer than the spacing would leave no horizontal leg
+        # (a negative square root); inactive when spacing >= max_climb
+        dz = min(max(dz, -dist, z_range[0] - center[2]),
+                 dist, z_range[1] - center[2])
         horiz = math.sqrt(dist * dist - dz * dz)
         center = center + np.array(
             [horiz * math.cos(heading), horiz * math.sin(heading), dz])

@@ -120,6 +120,13 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
     ("track", "n_gates", 2.5),
     ("track", "file", 5),
     ("track", "randomize_per_episode", 3),
+    ("track", "n_gates", 0),
+    ("track", "n_gates", -3),
+    ("track", "spacing", [5.0, 1.0]),
+    ("track", "spacing", [0.0, 1.0]),
+    ("track", "seed", -1),
+    ("reward", "time_limit", -1),
+    ("reward", "time_limit", 0),
 ])
 def test_non_positive_config_value_is_exit_1(tmp_path, capsys, block, key,
                                              value):

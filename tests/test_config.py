@@ -1,0 +1,98 @@
+"""Property tests of the config loader: whatever mapping it is given, it
+either builds a config whose track resolves or raises ConfigError."""
+
+import dataclasses
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from gateracer.cli import main
+from gateracer.config import (_BLOCKS, ConfigError, RunConfig,
+                              resolve_track, run_config_from_dict)
+
+# integers stay small: a large valid n_gates is a legal, slow track
+_numbers = st.integers(-1000, 1000) | st.floats()
+_scalars = st.none() | st.booleans() | _numbers | st.text(max_size=8)
+_values = st.recursive(
+    _scalars | st.tuples(_numbers, _numbers).map(list),
+    lambda inner: (st.lists(inner, max_size=8)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=10)
+_keys = st.text(max_size=8) | st.integers(-5, 5) | st.none()
+
+
+def _block(cls):
+    """Mappings of the block's own keys to arbitrary values."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return st.dictionaries(st.sampled_from(names), _values, max_size=4)
+
+
+# blocks holding known keys, so the values reach the type and range checks
+_known_keys = st.fixed_dictionaries(
+    {}, optional={name: _block(cls) for name, cls in _BLOCKS.items()})
+# arbitrary structure: unknown blocks and keys, non-mapping blocks
+_anything = st.dictionaries(
+    st.sampled_from(list(_BLOCKS)) | _keys,
+    st.dictionaries(_keys, _values, max_size=3) | _values,
+    max_size=4) | _values
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=_known_keys | _anything)
+@example(data={"track": {"spacing": [0.1, 0.2]}})
+@example(data={"track": {"spacing": [1.0, float("inf")]}})
+@example(data={"track": {"seed": -1}})
+@example(data={"track": {"file": "a\x00b"}})
+@example(data={"train": {1: 0, "x": 0}})
+@example(data={1: {}, "x": {}})
+def test_config_loader_raises_only_config_error(data):
+    try:
+        resolve_track(run_config_from_dict(data))
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("block", [None, {}])
+def test_null_or_empty_block_takes_the_defaults(block):
+    assert run_config_from_dict({"train": block}) == RunConfig()
+
+
+@pytest.mark.parametrize("block", [0, False, "", [], [1]])
+def test_falsy_non_mapping_block_is_rejected(block):
+    with pytest.raises(ConfigError, match="block 'train' must be a mapping"):
+        run_config_from_dict({"train": block})
+
+
+_BAD_ENTRIES = [
+    ("track", "n_gates", 0),
+    ("track", "spacing", [5.0, 1.0]),
+    ("reward", "time_limit", -1.0),
+    ("train", "minibatch_size", "many"),
+    ("dynamics", "imu_noise_std", [0.1, None]),
+    ("no_such_block", "key", 1),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_known_keys, bad=st.sampled_from(_BAD_ENTRIES))
+def test_inspect_rejects_a_generated_bad_config(tmp_path, capsys, data, bad):
+    block, key, value = bad
+    data = {**data, block: {**data.get(block, {}), key: value}}
+    path = tmp_path / "generated.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["inspect", "--config", str(path)]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["track: [", "train: {a: 1", "- 1\n- 2",
+                                  "track:\n\t- x", "42", "0", "[]",
+                                  "train: 0"])
+def test_inspect_rejects_malformed_yaml(tmp_path, capsys, text):
+    """Malformed YAML, or YAML that is not a mapping of mappings."""
+    path = tmp_path / "malformed.yaml"
+    path.write_text(text)
+    assert main(["inspect", "--config", str(path)]) == 1
+    assert "error: " in capsys.readouterr().err

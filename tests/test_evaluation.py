@@ -1,11 +1,41 @@
-import numpy as np
+from functools import partial
 
-from gateracer import evaluation
+import numpy as np
+import pytest
+
+from gateracer import evaluation, networks
 from gateracer.checkpoint import load_checkpoint
 from gateracer.config import RunConfig, TrackSettings
+from gateracer.dynamics import DynamicsConfig
+from gateracer.env import RacingEnv
 from gateracer.evaluation import evaluate, race
 from gateracer.geometry import default_track, sample_spawn
 from gateracer.training import Trainer
+
+
+@pytest.fixture(scope="module")
+def noisy_state(tmp_path_factory):
+    """An untrained policy on a 3-gate track, with sensor noise so that
+    every episode draws from its sensor stream too."""
+    tmp_path = tmp_path_factory.mktemp("policy")
+    cfg = RunConfig(
+        track=TrackSettings(seed=3, n_gates=3, spacing=(10.0, 12.0)),
+        dynamics=DynamicsConfig(imu_noise_std=(0.05,) * 7, gps_noise_std=0.1))
+    tr = Trainer(cfg, seed=0, out_dir=tmp_path)
+    state = load_checkpoint(tr.save(tmp_path / "checkpoint.bin"))
+    tr.metrics.close()
+    return state
+
+
+def _runs(state, seed):
+    """evaluate and race, each with deterministic and sampled actions;
+    call each with the episode count."""
+    return [partial(evaluate, state, deterministic=True, seed=seed,
+                    spawn_distance=3.0),
+            partial(evaluate, state, deterministic=False, seed=seed,
+                    yaw_error=0.3),
+            partial(race, state, seed=seed),
+            partial(race, state, seed=seed, deterministic=False)]
 
 
 def test_evaluate_and_race_never_touch_the_critic(tmp_path):
@@ -64,3 +94,80 @@ def test_displaced_spawn_sets_distance_and_yaw_offset(monkeypatch):
     same = evaluation._displaced_spawn(track, np.random.default_rng(2),
                                        None, 0.0)
     assert same == sample_spawn(track, 0, np.random.default_rng(2))
+
+
+def test_one_actor_forward_per_lockstep_step(noisy_state, monkeypatch):
+    rows, batched = [], []
+
+    def spy_batch(net, obs):
+        rows.append(len(obs))
+        batched.append(True)
+        return networks.forward_batch(net, obs)
+
+    def spy_one(params, obs):
+        rows.append(1)
+        batched.append(False)
+        return networks.forward(params, obs)
+
+    steps = {}
+    env_step = RacingEnv.step
+
+    def counted_step(env, action):
+        steps[env] = steps.get(env, 0) + 1
+        return env_step(env, action)
+
+    monkeypatch.setattr(evaluation, "forward_batch", spy_batch)
+    monkeypatch.setattr(evaluation, "forward", spy_one)
+    monkeypatch.setattr(RacingEnv, "step", counted_step)
+    lengths = set()
+    for run in _runs(noisy_state, seed=1):
+        rows.clear()
+        batched.clear()
+        steps.clear()
+        run(6)
+        assert len(steps) == 6
+        # one call per lockstep step, over every live episode and only them
+        assert len(rows) == max(steps.values())
+        assert rows[0] == 6
+        assert all(a >= b for a, b in zip(rows, rows[1:]))
+        assert sum(rows) == sum(steps.values())
+        # batched while two or more run, single-observation for a lone one
+        assert batched == [n > 1 for n in rows]
+        lengths.update(steps.values())
+    assert len(lengths) > 1  # episodes did leave the batch at different steps
+
+
+def test_episode_outcome_does_not_depend_on_the_episode_count(noisy_state,
+                                                              monkeypatch):
+    """With a policy whose rows are computed one by one, as `forward`
+    computes a lone episode's, episode i ends in the same state whether 4
+    or 16 episodes share its steps."""
+    made = []
+
+    class RecordedEnv(RacingEnv):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    def rowwise(net, obs):
+        return None, None, None, np.array(
+            [networks._mlp_forward(row, *net)[3] for row in obs])
+
+    monkeypatch.setattr(evaluation, "RacingEnv", RecordedEnv)
+    monkeypatch.setattr(evaluation, "forward_batch", rowwise)
+
+    def finals(run, episodes):
+        made.clear()
+        run(episodes)
+        return [{k: v for k, v in env.state_dict().items() if k != "track"}
+                for env in made]
+
+    for run in _runs(noisy_state, seed=7):
+        many = finals(run, 16)
+        assert finals(run, 4) == many[:4]
+        assert len({repr(f["agent"]) for f in many}) == 16
+
+
+def test_rerun_at_a_fixed_seed_and_count_is_identical(noisy_state):
+    for run in _runs(noisy_state, seed=3):
+        assert run(5) == run(5)

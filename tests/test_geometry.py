@@ -67,6 +67,15 @@ def test_default_track_spacing_and_count(seed):
     assert all(10.0 <= d <= 15.0 for d in dists)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 999])
+def test_spacing_below_max_climb_bounds_the_climb(seed):
+    # the default max_climb (1 m) exceeds every spacing here
+    track = default_track(seed, spacing=(0.1, 0.2))
+    dists = [np.linalg.norm(b.center - a.center)
+             for a, b in zip(track.gates[:-1], track.gates[1:])]
+    assert all(0.1 - 1e-12 <= d <= 0.2 + 1e-12 for d in dists)
+
+
 def test_track_gate_id_invariant():
     gates = [make_gate()]
     gates[0].id = 3
