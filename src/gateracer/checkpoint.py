@@ -1,7 +1,8 @@
 """Checkpoints as an uncompressed zip, the NumPy `.npz` layout: one JSON
 member holding the JSON sections, the format version and a manifest of the
-arrays, and one `.npy` member per float64 array. `zipfile` checks each
-member's CRC-32 as it reads it. Also the policy's layout inside them."""
+arrays, and one little-endian `.npy` member per float32 or float64 array,
+each in its own dtype. `zipfile` checks each member's CRC-32 as it reads
+it. Also the policy's layout inside them."""
 
 from __future__ import annotations
 
@@ -32,8 +33,12 @@ class CheckpointError(Exception):
 
 def save_checkpoint(path, state: dict) -> None:
     """`state` keys: counters, config, track, scalars, rng, env (JSON-able
-    dicts) and arrays (name -> float64 ndarray)."""
-    arrays = state["arrays"]
+    dicts) and arrays (name -> float32 or float64 ndarray)."""
+    arrays = {name: np.asarray(a) for name, a in state["arrays"].items()}
+    for name, a in arrays.items():
+        if a.dtype.kind != "f" or a.dtype.itemsize not in (4, 8):
+            raise CheckpointError(f"array '{name}' is {a.dtype}; a checkpoint "
+                                  "holds float32 or float64 arrays only")
     header = {name: state[name] for name in _JSON_KEYS}
     header.update(format_version=FORMAT_VERSION, arrays=sorted(arrays))
     tmp = str(path) + ".tmp"
@@ -44,7 +49,8 @@ def save_checkpoint(path, state: dict) -> None:
             zf.writestr(zipfile.ZipInfo(_HEADER_MEMBER),
                         json.dumps(header, sort_keys=True))
             for name in sorted(arrays):
-                a = np.ascontiguousarray(arrays[name], dtype="<f8")
+                a = arrays[name]
+                a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
                 with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
                     npy_format.write_array(fh, a, allow_pickle=False)
         # synced before the rename publishes it, the directory after it

@@ -105,7 +105,8 @@ def _cmd_inspect(args) -> int:
             "counters": state["counters"],
             "scalars": {k: v for k, v in state["scalars"].items()
                         if k != "reward_scaler"},
-            "arrays": {k: list(v.shape) for k, v in state["arrays"].items()},
+            "arrays": {k: {"dtype": str(v.dtype), "shape": list(v.shape)}
+                       for k, v in state["arrays"].items()},
         }
         print(json.dumps(info, sort_keys=True, indent=2))
         shown = True

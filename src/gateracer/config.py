@@ -27,6 +27,11 @@ class OpponentSettings:
     approach_offset: float = 1.0
 
 
+# a procedural track takes about 16 us and 0.4 KB per gate to build, so a
+# mistyped count in the millions would stall a run before its first step
+MAX_GATES = 1000
+
+
 @dataclass
 class TrackSettings:
     file: Optional[str] = None  # load this track file when set
@@ -38,8 +43,9 @@ class TrackSettings:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.n_gates < 1:
-            raise ValueError("n_gates must be at least 1")
+        if not 1 <= self.n_gates <= MAX_GATES:
+            raise ValueError(f"n_gates must be in [1, {MAX_GATES}], "
+                             f"got {self.n_gates}")
         lo, hi = self.spacing
         if not 0 < lo <= hi < math.inf:
             raise ValueError("spacing must be [min, max] with "

@@ -1,8 +1,8 @@
 """From-scratch actor/critic MLPs (3 hidden tanh layers), the diagonal
 Gaussian action head, and an adaptive-moment optimizer.
 
-The parameters, the optimizer state and the checkpoint are float64, and
-so is acting. The MLP functions follow the dtype of the arrays they are
+The parameters are float64, and so is acting; the optimizer's moments
+are float32. The MLP functions follow the dtype of the arrays they are
 given, which lets the PPO update run its minibatches in float32."""
 
 from __future__ import annotations
@@ -161,7 +161,9 @@ def sample_action(mean, log_std, rng: np.random.Generator):
 
 
 class Adam:
-    """First/second-moment adaptive steps with bias correction."""
+    """First/second-moment adaptive steps with bias correction. The
+    moments are float32, like the update's gradients; the step is
+    computed in float32 and subtracted from the float64 parameters."""
 
     def __init__(self, shapes, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -169,8 +171,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = [np.zeros(s, dtype=np.float32) for s in shapes]
+        self.v = [np.zeros(s, dtype=np.float32) for s in shapes]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray],
              lr: float) -> None:
@@ -178,20 +180,32 @@ class Adam:
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
+            # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), with one float32
+            # scratch array holding each intermediate term in turn
+            d = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += d
+            np.multiply(g, g, out=d)
+            d *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            v += d
+            np.multiply(v, 1.0 / b2t, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            np.divide(m, d, out=d)
+            d *= lr / b1t
+            p -= d
 
     def state_dict(self) -> dict:
         return {"t": self.t, "m": [a.copy() for a in self.m],
                 "v": [a.copy() for a in self.v]}
 
     def load_state_dict(self, d: dict) -> None:
+        """Float64 moments, as older checkpoints hold them, are rounded to
+        float32 here, once."""
         self.t = int(d["t"])
-        self.m = [np.asarray(a, dtype=np.float64).copy() for a in d["m"]]
-        self.v = [np.asarray(a, dtype=np.float64).copy() for a in d["v"]]
+        self.m = [np.array(a, dtype=np.float32) for a in d["m"]]
+        self.v = [np.array(a, dtype=np.float32) for a in d["v"]]
 
 
 def clip_grads_global(grads: list[np.ndarray], max_norm: float) -> float:

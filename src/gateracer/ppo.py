@@ -3,6 +3,7 @@ with reverse-mode gradients through the from-scratch MLPs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,14 @@ class TrainConfig:
         for name in ("rollout_steps", "minibatch_size", "epochs_per_update"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        # a negative max_grad_norm would flip every gradient's sign
+        for name in ("learning_rate", "max_grad_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.target_kl is not None and not self.target_kl > 0:
+            raise ValueError("target_kl must be null or positive")
+        if not self.value_coef >= 0:
+            raise ValueError("value_coef must be non-negative")
         if not (0 < self.clip_epsilon < 1):
             raise ValueError("clip_epsilon must be in (0, 1)")
         if not (0 < self.gamma <= 1):
@@ -186,9 +195,10 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
     log-probs and stays fixed for the whole update.
 
     Each minibatch's forward and backward run in float32 on a fresh
-    float32 copy of the parameters; the gradients are upcast, and
-    clipping, Adam and the parameters themselves stay float64 (mixed
-    precision against master weights, Micikevicius et al. 2018)."""
+    float32 copy of the parameters, and its float32 gradients go straight
+    to clipping and to Adam, whose moments are float32 too; only the
+    parameters themselves stay float64 (mixed precision against master
+    weights, Micikevicius et al. 2018)."""
     if not buffer.advantages_ready:
         raise ValueError("advantages must be computed before the update")
     if adam is None:
@@ -211,7 +221,6 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
                 params.astype(np.float32), obs[idx], buffer.actions[idx],
                 buffer.log_probs[idx], buffer.advantages[idx],
                 buffer.returns[idx], cfg)
-            grads = [g.astype(np.float64) for g in grads]
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite PPO loss: {stats}; "

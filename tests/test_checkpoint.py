@@ -42,6 +42,32 @@ def test_roundtrip_bitexact(tmp_path):
         np.testing.assert_array_equal(got, arr)  # bitwise for float64
 
 
+def test_arrays_are_stored_little_endian_in_their_own_dtype(tmp_path):
+    rng = np.random.default_rng(2)
+    state = sample_state(rng)
+    w = rng.standard_normal((3, 5))
+    state["arrays"] = {"f4": w.astype(np.float32), "f8": w,
+                       "big_f4": w.astype(">f4"), "big_f8": w.astype(">f8")}
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, state)
+    loaded = load_checkpoint(path)["arrays"]
+    for name, arr in state["arrays"].items():
+        want = arr.dtype.newbyteorder("<")
+        assert loaded[name].dtype.str == want.str, name
+        np.testing.assert_array_equal(loaded[name], arr)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.complex128,
+                                   np.bool_])
+def test_save_refuses_arrays_that_are_not_float32_or_float64(tmp_path, dtype):
+    state = sample_state(np.random.default_rng(3))
+    state["arrays"]["bad"] = np.ones(4, dtype=dtype)
+    path = tmp_path / "ck.bin"
+    with pytest.raises(CheckpointError, match="'bad'.*float32 or float64"):
+        save_checkpoint(path, state)
+    assert not path.exists() and not (tmp_path / "ck.bin.tmp").exists()
+
+
 def test_save_is_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     state = sample_state(rng)

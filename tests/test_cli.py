@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from gateracer.cli import main
+from gateracer.config import MAX_GATES
 from gateracer.geometry import default_track, save_track
 
 
@@ -63,6 +64,12 @@ def test_train_eval_race_roundtrip(tmp_path, capsys):
     assert main(["inspect", "--ckpt", str(ckpt)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["counters"]["global_step"] == 2048
+    arrays = info["arrays"]
+    assert arrays["param00"]["dtype"] == "float64"
+    for name in ("adam_m00", "adam_v00"):
+        assert arrays[name] == {"dtype": "float32",
+                                "shape": arrays["param00"]["shape"]}
+    assert {a["dtype"] for a in arrays.values()} == {"float32", "float64"}
 
 
 def test_missing_config_is_exit_1(tmp_path, capsys):
@@ -127,6 +134,16 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
     ("track", "seed", -1),
     ("reward", "time_limit", -1),
     ("reward", "time_limit", 0),
+    ("train", "learning_rate", -1e-4),
+    ("train", "learning_rate", float("nan")),
+    ("train", "learning_rate", float("inf")),
+    ("train", "max_grad_norm", -0.5),
+    ("train", "max_grad_norm", 0),
+    ("train", "target_kl", -1),
+    ("train", "target_kl", 0),
+    ("train", "value_coef", -1),
+    ("track", "n_gates", MAX_GATES + 1),
+    ("track", "n_gates", 100_000_000),
 ])
 def test_non_positive_config_value_is_exit_1(tmp_path, capsys, block, key,
                                              value):

@@ -9,11 +9,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gateracer.cli import main
-from gateracer.config import (_BLOCKS, ConfigError, RunConfig,
+from gateracer.config import (_BLOCKS, MAX_GATES, ConfigError, RunConfig,
                               resolve_track, run_config_from_dict)
 
-# integers stay small: a large valid n_gates is a legal, slow track
-_numbers = st.integers(-1000, 1000) | st.floats()
+# integers reach past MAX_GATES, which is refused before any track is built
+_numbers = st.integers(-10**9, 10**9) | st.floats()
 _scalars = st.none() | st.booleans() | _numbers | st.text(max_size=8)
 _values = st.recursive(
     _scalars | st.tuples(_numbers, _numbers).map(list),
@@ -47,11 +47,19 @@ _anything = st.dictionaries(
 @example(data={"track": {"file": "a\x00b"}})
 @example(data={"train": {1: 0, "x": 0}})
 @example(data={1: {}, "x": {}})
+@example(data={"track": {"n_gates": MAX_GATES + 1}})
 def test_config_loader_raises_only_config_error(data):
     try:
         resolve_track(run_config_from_dict(data))
     except ConfigError:
         pass
+
+
+def test_n_gates_is_capped():
+    cfg = run_config_from_dict({"track": {"n_gates": MAX_GATES}})
+    assert resolve_track(cfg).n_gates == MAX_GATES
+    with pytest.raises(ConfigError, match="n_gates must be in"):
+        run_config_from_dict({"track": {"n_gates": MAX_GATES + 1}})
 
 
 @pytest.mark.parametrize("block", [None, {}])

@@ -280,8 +280,8 @@ def test_ppo_update_respects_log_std_bounds():
 
 
 def test_ppo_update_keeps_master_state_float64():
-    """The minibatches compute in float32, but the parameters and the
-    Adam moments stay float64 in their own memory order."""
+    """The minibatches, their gradients and the Adam moments are float32,
+    but the parameters stay float64 in their own memory order."""
     cfg = TrainConfig(rollout_steps=64, minibatch_size=32,
                       epochs_per_update=2)
     params, buf = make_update_inputs(seed=6)
@@ -289,10 +289,20 @@ def test_ppo_update_keeps_master_state_float64():
     layout = [(p.flags.c_contiguous, p.flags.f_contiguous)
               for p in params.flat_list()]
     assert (False, True) in layout  # the wide W1 is Fortran-ordered
+    grad_dtypes = set()
+    step = adam.step
+
+    def spy(flat, grads, lr):
+        grad_dtypes.update(g.dtype for g in grads)
+        step(flat, grads, lr)
+
+    adam.step = spy
     ppo_update(params, buf, cfg, np.random.default_rng(0), adam)
     assert adam.t == 4
+    assert grad_dtypes == {np.dtype(np.float32)}  # no upcast before Adam
     for p, order in zip(params.flat_list(), layout):
         assert p.dtype == np.float64
         assert (p.flags.c_contiguous, p.flags.f_contiguous) == order
-    for a in adam.m + adam.v:
-        assert a.dtype == np.float64 and a.flags.c_contiguous
+    for a, p in zip(adam.m + adam.v, params.flat_list() * 2):
+        assert a.dtype == np.float32 and a.flags.c_contiguous
+        assert a.shape == p.shape

@@ -55,20 +55,58 @@ def test_rollout_values_match_the_critic(tmp_path):
     tr.metrics.close()
 
 
-def test_checkpoint_state_stays_float64_after_an_update(tmp_path):
+def _one_update_trainer(out_dir, resume=None):
     cfg = small_cfg()
     cfg.train.rollout_steps = 256
     cfg.train.epochs_per_update = 1
-    tr = Trainer(cfg, seed=0, out_dir=tmp_path)
+    tr = Trainer(cfg, seed=0, out_dir=out_dir, resume=resume)
     tr.iterate()
     tr.metrics.close()
+    return tr
+
+
+def test_checkpoint_arrays_keep_their_dtype_after_an_update(tmp_path):
+    """Adam moments are float32, everything else float64, and the
+    checkpoint stores each array in its in-memory dtype."""
+    tr = _one_update_trainer(tmp_path)
     assert tr.update_count == 1
     arrays = tr._state_dict()["arrays"]
-    assert any(name.startswith("adam_m") for name in arrays)
     saved = load_checkpoint(tr.checkpoint_path)["arrays"]
     assert set(saved) == set(arrays)
     for name in arrays:
-        assert arrays[name].dtype == saved[name].dtype == np.float64, name
+        want = np.float32 if name.startswith("adam_") else np.float64
+        assert arrays[name].dtype == saved[name].dtype == want, name
+        assert saved[name].dtype.byteorder in "<=", name
+    assert sum(name.startswith("adam_m") for name in arrays) == 17
+
+
+def test_checkpoint_with_float64_moments_resumes_as_float32(tmp_path):
+    """A checkpoint written when the moments were float64 still resumes.
+    Its moments are rounded to float32 once, on load, after which the run
+    matches one resumed from the same moments stored as float32."""
+    path = _one_update_trainer(tmp_path / "first").checkpoint_path
+    state = load_checkpoint(path)
+    old = tmp_path / "old.bin"
+    rng = np.random.default_rng(0)
+    for name, a in state["arrays"].items():
+        if name.startswith("adam_"):
+            # float64 values that float32 cannot hold, each nearest to `a`
+            wide = a.astype(np.float64)
+            state["arrays"][name] = wide * (1 + 1e-9 * rng.uniform(
+                -1, 1, a.shape))
+            assert np.any(state["arrays"][name] != wide)
+    save_checkpoint(old, state)
+    assert load_checkpoint(old)["arrays"]["adam_m00"].dtype == np.float64
+
+    a = _one_update_trainer(tmp_path / "a", resume=path)
+    b = _one_update_trainer(tmp_path / "b", resume=str(old))
+    for x, y in zip(a.adam.m + a.adam.v, b.adam.m + b.adam.v):
+        assert y.dtype == np.float32 and y.flags.c_contiguous
+        np.testing.assert_array_equal(x, y)
+    for x, y in zip(a.params.flat_list(), b.params.flat_list()):
+        np.testing.assert_array_equal(x, y)
+    assert ((tmp_path / "a" / "metrics.jsonl").read_bytes()
+            == (tmp_path / "b" / "metrics.jsonl").read_bytes())
 
 
 def test_same_seed_runs_are_bit_identical(tmp_path):
