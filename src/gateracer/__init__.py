@@ -3,14 +3,14 @@ gate track, shaped rewards paced by a waypoint-planner opponent, and a
 from-scratch PPO trainer with exact checkpoint resume."""
 
 from .dynamics import DroneState, DynamicsConfig
-from .geometry import Gate, PassEvent, Track, default_track
+from .geometry import Gate, Track, default_track
 from .ppo import RolloutBuffer, TrainConfig
 from .rewards import EpisodeStatus, RewardConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DroneState", "DynamicsConfig", "Gate", "PassEvent", "Track",
-    "default_track", "RolloutBuffer", "TrainConfig", "EpisodeStatus",
-    "RewardConfig", "__version__",
+    "DroneState", "DynamicsConfig", "Gate", "Track", "default_track",
+    "RolloutBuffer", "TrainConfig", "EpisodeStatus", "RewardConfig",
+    "__version__",
 ]

@@ -80,10 +80,11 @@ class ImuReading:
 def step(state: DroneState, cmd, dt: float, cfg: DynamicsConfig) -> DroneState:
     """Advance one control step.
 
-    The commanded velocity delta (clipped to [-1, 1] per axis, scaled by
-    command_scale) defines a target velocity; the velocity relaxes toward
-    it with lag time constant tau, position integrates the trapezoid, yaw
-    slews toward the velocity heading, roll/pitch are a banked-turn proxy.
+    The commanded velocity delta (clipped to [-1, 1] per axis, the one
+    place an action is bounded, then scaled by command_scale) defines a
+    target velocity; the velocity relaxes toward it with lag time
+    constant tau, position integrates the trapezoid, yaw slews toward the
+    velocity heading, roll/pitch are a banked-turn proxy.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, opponent, rewards
 from .dynamics import DroneState, DynamicsConfig, ImuReading, _wrap_angle
-from .geometry import (DEFAULT_DRONE_RADIUS, PassEvent, Track, norm3,
+from .geometry import (DEFAULT_DRONE_RADIUS, Track, norm3,
                        segment_frame_collision, segment_gate_crossing,
                        sample_spawn, track_to_dict)
 from .rewards import EpisodeStatus, RewardConfig, TERM_NONE
@@ -46,21 +45,12 @@ def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
          (status.gate_deadline - agent.time) * TIMER_OBS_SCALE])
 
 
-@dataclass
-class EpisodeInfo:
-    episode_return: float
-    gates_passed: int
-    collisions: int
-    duration: float
-    termination: str
-    steps: int
-
-
 class RacingEnv:
     """Single agent racing the waypoint-following opponent on one track.
 
-    Owns per-episode state and the spawn / sensor random streams; the
-    caller drives it with clipped action vectors.
+    Owns per-episode state and the spawn / sensor random streams. The
+    caller drives it with action vectors, which `dynamics.step` clamps to
+    [-1, 1], and reads the episode's record from `status`.
     """
 
     def __init__(self, track: Track, dyn_cfg: DynamicsConfig,
@@ -101,7 +91,6 @@ class RacingEnv:
         self.opp: opponent.FollowerState | None = None
         self.status: EpisodeStatus | None = None
         self.opponent_times: np.ndarray | None = None
-        self.episode_steps = 0
 
     def reset(self, spawn_override: DroneState | None = None) -> np.ndarray:
         if spawn_override is not None:
@@ -113,7 +102,6 @@ class RacingEnv:
             self.plan, self.agent.position)
         self.status = rewards.init_status(
             self.track, self.opponent_times, self.reward_cfg, t0=self.agent.time)
-        self.episode_steps = 0
         return self.observe()
 
     def state_dict(self) -> dict:
@@ -126,18 +114,18 @@ class RacingEnv:
             "opponent_waypoint": self.opp.waypoint_index,
             "status": dataclasses.asdict(self.status),
             "opponent_times": self.opponent_times.tolist(),
-            "episode_steps": self.episode_steps,
             "track": track_to_dict(self.track),
         }
 
     def load_state_dict(self, state: dict) -> None:
+        # keys not read here, such as the "episode_steps" that older
+        # checkpoints hold, are ignored
         self.agent = DroneState(**state["agent"])
         self.opp = opponent.FollowerState(
             drone=DroneState(**state["opponent"]),
             waypoint_index=int(state["opponent_waypoint"]))
         self.status = EpisodeStatus(**state["status"])
         self.opponent_times = np.array(state["opponent_times"])
-        self.episode_steps = int(state["episode_steps"])
 
     def observe(self) -> np.ndarray:
         imu = dynamics.read_imu(self.agent, self.dyn_cfg.imu_noise_std,
@@ -147,50 +135,38 @@ class RacingEnv:
         return build_observation(self.agent, self.opp.drone.position,
                                  self.status, self.track, imu, gps)
 
-    def detect_events(self, prev: DroneState, nxt: DroneState) -> dict:
-        """Geometric events for one step: the gate-pass test is only
+    def detect_events(self, prev: DroneState,
+                      nxt: DroneState) -> tuple[bool, bool]:
+        """(passed, collided) for one step: the gate-pass test is only
         invoked near the target gate; frame collisions are checked, in
         gate order, against every gate within reach."""
         x, y, z = nxt.position
         dist = [norm3(x - cx, y - cy, z - cz)
                 for cx, cy, cz in self._gate_centers]
         target = self.status.target_gate
-        pass_event = None
+        passed = False
         if dist[target] < self._pass_reach[target]:
-            gate = self.track.gates[target]
-            point = segment_gate_crossing(prev.position, nxt.position, gate)
-            if point is not None:
-                pass_event = PassEvent(gate_id=gate.id, time=nxt.time,
-                                       crossing_point=point)
-        collision = any(
+            passed = segment_gate_crossing(
+                prev.position, nxt.position,
+                self.track.gates[target]) is not None
+        collided = any(
             segment_frame_collision(prev.position, nxt.position, gate,
                                     self.drone_radius)
             for gate, d, reach in zip(self.track.gates, dist,
                                       self._frame_reach)
             if d <= reach)
-        return {"pass": pass_event, "collision": collision}
+        return passed, collided
 
-    def step(self, action) -> tuple[float, bool, dict]:
-        """Returns (raw_reward, done, info). Call observe() for the next
-        observation while the episode is alive."""
+    def step(self, action) -> tuple[float, bool]:
+        """Returns (raw_reward, done); `status` holds the episode's record.
+        Call observe() for the next observation while the episode is
+        alive."""
         prev = self.agent
         nxt = dynamics.step(prev, action, self.dyn_cfg.dt, self.dyn_cfg)
         self.opp = opponent.advance(self.plan, self.opp, self.dyn_cfg.dt)
-        events = self.detect_events(prev, nxt)
+        passed, collided = self.detect_events(prev, nxt)
         reward, self.status = rewards.compute_step(
-            prev, nxt, self.status, events, self.reward_cfg,
+            prev, nxt, self.status, passed, collided, self.reward_cfg,
             self.opponent_times, self.track)
         self.agent = nxt
-        self.episode_steps += 1
-        done = self.status.done != TERM_NONE
-        info = {"events": events}
-        if done:
-            info["episode"] = EpisodeInfo(
-                episode_return=self.status.episode_return,
-                gates_passed=self.status.gates_passed,
-                collisions=self.status.collisions,
-                duration=self.agent.time,
-                termination=self.status.done,
-                steps=self.episode_steps,
-            )
-        return reward, done, info
+        return reward, self.status.done != TERM_NONE

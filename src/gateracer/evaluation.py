@@ -58,9 +58,9 @@ def _lockstep(params, stats, envs, obs, action_rngs, deterministic,
         mean = forward_batch(params.actor,
                              normalize_observation(stats, np.array(obs)))[3]
         if deterministic:
-            actions = np.clip(mean, -1.0, 1.0).tolist()
+            actions = mean.tolist()
         else:
-            actions = [sample_action(m, params.log_std, action_rngs[k])[1]
+            actions = [sample_action(m, params.log_std, action_rngs[k])[0]
                        for k, m in zip(live, mean)]
         live = [k for k, a in zip(live, actions) if not step(k, a)]
         obs = [envs[k].observe() for k in live]
@@ -68,9 +68,9 @@ def _lockstep(params, stats, envs, obs, action_rngs, deterministic,
         while True:
             mean, log_std = forward(params, normalize_observation(stats, o))
             if deterministic:
-                action = [min(max(m, -1.0), 1.0) for m in mean.tolist()]
+                action = mean
             else:
-                action = sample_action(mean, log_std, action_rngs[k])[1]
+                action = sample_action(mean, log_std, action_rngs[k])[0]
             if step(k, action):
                 break
             o = envs[k].observe()
@@ -136,7 +136,7 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
         env = envs[k]
         gates = env.track.gates
         opp_prev = env.opp.drone.position
-        _, done, info = env.step(action)
+        _, done = env.step(action)
         # track the opponent's own gate progress on the same step
         if opp_target[k] < len(gates):
             point = segment_gate_crossing(opp_prev, env.opp.drone.position,
@@ -145,7 +145,7 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
                 opp_target[k] += 1
         if opp_target[k] >= len(gates):
             outcomes[k] = "opponent"  # ties break to the opponent
-        elif done and info["episode"].termination == TERM_ALL_GATES:
+        elif done and env.status.done == TERM_ALL_GATES:
             outcomes[k] = "agent"
         elif done:
             outcomes[k] = "dnf"

@@ -4,7 +4,7 @@ frame-collision predicates, and the track file format."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -63,13 +63,6 @@ class Track:
     @property
     def n_gates(self) -> int:
         return len(self.gates)
-
-
-@dataclass
-class PassEvent:
-    gate_id: int
-    time: float
-    crossing_point: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 def default_track(seed: int, n_gates: int = 10,

@@ -144,9 +144,9 @@ def gaussian_entropy(log_std) -> float:
 
 
 def sample_action(mean, log_std, rng: np.random.Generator):
-    """(raw_action, clipped_action, log_prob) for one observation's 1-D
-    mean. The log-prob is of the raw action, summed term by term in
-    gaussian_log_prob's order; the environment receives the clipped one."""
+    """(action, log_prob) for one observation's 1-D mean. The log-prob is
+    summed term by term in gaussian_log_prob's order. The action is not
+    bounded here: `dynamics.step` clamps each command to [-1, 1]."""
     m = mean.tolist()
     std = np.exp(log_std).tolist()
     inv_std = np.exp(-log_std).tolist()
@@ -156,8 +156,7 @@ def sample_action(mean, log_std, rng: np.random.Generator):
     for ri, mi, ki, li in zip(raw, m, inv_std, log_std.tolist()):
         z = (ri - mi) * ki
         total += z * z + 2.0 * li + LOG2PI
-    return (np.array(raw), np.array([min(max(r, -1.0), 1.0) for r in raw]),
-            -0.5 * total)
+    return np.array(raw), -0.5 * total
 
 
 class Adam:

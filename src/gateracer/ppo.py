@@ -52,10 +52,10 @@ class TrainConfig:
 
 
 class RolloutBuffer:
-    """Fixed-capacity on-policy store. Log-probs correspond to the raw
-    (pre-clip) actions; rewards are the scaled ones fed to GAE. Values
-    and the bootstrap value are filled once the buffer is full
-    (fill_values)."""
+    """Fixed-capacity on-policy store. Actions are the policy's samples,
+    unbounded, and log-probs are theirs; rewards are the scaled ones fed
+    to GAE. Values and the bootstrap value are filled once the buffer is
+    full (fill_values)."""
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int = 3):
         self.capacity = capacity

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DroneState
-from .geometry import PassEvent, Track, norm3
+from .geometry import Track, norm3
 
 TERM_NONE = "none"
 TERM_ALL_GATES = "all_gates"
@@ -92,11 +92,12 @@ def check_termination(state: DroneState, status: EpisodeStatus,
 
 
 def compute_step(prev: DroneState, next_state: DroneState,
-                 status: EpisodeStatus, events: dict, cfg: RewardConfig,
-                 opponent_times, track: Track) -> tuple[float, EpisodeStatus]:
-    """One reward/progress transition. `events` carries the geometric
-    facts for this step: {"pass": PassEvent | None, "collision": bool}.
-    """
+                 status: EpisodeStatus, passed: bool, collided: bool,
+                 cfg: RewardConfig, opponent_times,
+                 track: Track) -> tuple[float, EpisodeStatus]:
+    """One reward/progress transition. `passed` and `collided` are this
+    step's geometric facts: the target gate was crossed, a frame was
+    hit."""
     if status.done != TERM_NONE:
         raise ValueError("compute_step called on a finished episode")
     target = track.gates[status.target_gate]
@@ -111,8 +112,7 @@ def compute_step(prev: DroneState, next_state: DroneState,
                         gate_deadline=status.gate_deadline,
                         collisions=status.collisions,
                         gates_passed=status.gates_passed)
-    pass_event: Optional[PassEvent] = events.get("pass")
-    if pass_event is not None:
+    if passed:
         reward += cfg.pass_reward
         new.gates_passed += 1
         new.target_gate = min(new.gates_passed, track.n_gates - 1)
@@ -122,11 +122,11 @@ def compute_step(prev: DroneState, next_state: DroneState,
                 times[new.gates_passed] - times[new.gates_passed - 1])
             new.gate_deadline = next_state.time + budget
 
-    if events.get("collision"):
+    if collided:
         reward += cfg.collision_penalty
         new.collisions += 1
 
-    if (pass_event is None and new.gates_passed > 0
+    if (not passed and new.gates_passed > 0
             and next_state.time > new.gate_deadline):
         last_passed = track.gates[new.gates_passed - 1]
         if _distance(next_state.position, last_passed.center) \

@@ -109,6 +109,7 @@ class MetricsServer:
 
 def parse_address(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"bad metrics address '{addr}', want host:port")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"bad metrics address '{addr}', want host:port "
+                         "with a port in 0-65535")
     return host, int(port)

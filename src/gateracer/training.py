@@ -68,6 +68,8 @@ class Trainer:
         metrics_path = os.path.join(self.out_dir, "metrics.jsonl")
         if state is not None:
             _truncate_to_checkpoint(metrics_path, resume, state)
+        else:
+            open(metrics_path, "w").close()  # a fresh run starts the log empty
         self.metrics = MetricsLogger(metrics_path, telemetry=telemetry)
 
         if state is not None:
@@ -93,25 +95,22 @@ class Trainer:
         return self.env.reset()
 
     # ------------------------------------------------------------------
-    def collect_rollout(self) -> tuple[RolloutBuffer, list]:
+    def collect_rollout(self) -> RolloutBuffer:
         cfg = self.cfg.train
         buf = RolloutBuffer(cfg.rollout_steps, OBS_DIM)
-        infos = []
         obs_n = self._pending_obs
         for _ in range(cfg.rollout_steps):
             mean, log_std = forward(self.params, obs_n)
-            raw, clipped, logp = sample_action(mean, log_std,
-                                               self.rngs["policy"])
-            reward_raw, done, info = self.env.step(clipped)
+            action, logp = sample_action(mean, log_std, self.rngs["policy"])
+            reward_raw, done = self.env.step(action)
             if not math.isfinite(reward_raw):
                 raise RuntimeError(f"non-finite reward at step {self.global_step}")
             scaled = self.reward_scaler.scale(reward_raw, done)
-            buf.add(obs_n, raw, logp, scaled, done)
+            buf.add(obs_n, action, logp, scaled, done)
             self.global_step += 1
             if done:
                 self.episode_count += 1
-                infos.append(info["episode"])
-                self._emit_episode(info["episode"])
+                self._emit_episode()
                 obs_raw = self._episode_reset()
             else:
                 obs_raw = self.env.observe()
@@ -120,18 +119,21 @@ class Trainer:
             obs_n = normalize_observation(self.obs_stats, obs_raw)
         self._pending_obs = obs_n
         fill_values(buf, self.params.critic, obs_n, cfg.minibatch_size)
-        return buf, infos
+        return buf
 
-    def _emit_episode(self, ep) -> None:
+    def _emit_episode(self) -> None:
+        """The episode record of the env's finished episode; call it
+        before the reset."""
+        status = self.env.status
         stats = self._last_update_stats or {}
         self.metrics.write(MetricsRecord(
             event="episode",
             global_step=self.global_step,
             episode=self.episode_count,
-            episodic_return=ep.episode_return,
-            gates_passed=ep.gates_passed,
-            collisions=ep.collisions,
-            duration=ep.duration,
+            episodic_return=status.episode_return,
+            gates_passed=status.gates_passed,
+            collisions=status.collisions,
+            duration=self.env.agent.time,
             policy_loss=stats.get("policy_loss"),
             value_loss=stats.get("value_loss"),
             approx_kl=stats.get("approx_kl"),
@@ -158,7 +160,7 @@ class Trainer:
         """One training iteration: rollout, GAE, PPO update, the update
         record and the periodic checkpoint."""
         cfg = self.cfg.train
-        buf, _ = self.collect_rollout()
+        buf = self.collect_rollout()
         compute_gae(buf, buf.bootstrap_value, cfg.gamma, cfg.gae_lambda)
         lr = cfg.learning_rate
         if cfg.lr_decay:

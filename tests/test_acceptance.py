@@ -302,7 +302,7 @@ def test_criterion_4_ratio_identity(tmp_path, capfd):
         save_track(mini_track(), track_file)
         cfg = RunConfig(track=TrackSettings(file=str(track_file)))
         tr = Trainer(cfg, seed=5, out_dir=tmp_path / "run")
-        buf, _ = tr.collect_rollout()
+        buf = tr.collect_rollout()
         tr.metrics.close()
         assert buf.capacity == 2048 and buf.full
         _, _, _, mean = forward_batch(tr.params.actor, buf.obs)

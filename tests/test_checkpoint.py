@@ -23,7 +23,7 @@ def sample_state(rng):
                    "b": rng.standard_normal(5)},
         "scalars": {"adam_t": 10, "obs_count": 99.0},
         "rng": {"policy": {"state": 1}},
-        "env": {"episode_steps": 17},
+        "env": {"opponent_waypoint": 17},
     }
 
 

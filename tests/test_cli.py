@@ -174,6 +174,13 @@ def test_episodes_below_one_is_exit_1(trained_ckpt, command, episodes,
     assert "error: episodes must be at least 1" in captured.err
 
 
+def test_metrics_port_above_65535_is_exit_1(tmp_path, capsys):
+    assert main(["train", "--config", write_cfg(tmp_path),
+                 "--out", str(tmp_path / "o"),
+                 "--metrics-addr", "127.0.0.1:70000"]) == 1
+    assert "error: bad metrics address" in capsys.readouterr().err
+
+
 def test_train_passes_metrics_queue_size(tmp_path, monkeypatch):
     import gateracer.telemetry
 

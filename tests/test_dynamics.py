@@ -190,3 +190,17 @@ def test_step_keeps_its_limits(position, direction, speed_frac, roll_pitch,
     assert -math.pi <= new_yaw <= math.pi
     assert abs(_wrap_angle(new_yaw - yaw)) <= cfg.yaw_rate_max * dt + 1e-12
     assert nxt.time == time + dt
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(velocity=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       yaw=st.floats(-math.pi, math.pi), command=_command,
+       as_array=st.booleans())
+def test_step_clamps_the_command(velocity, yaw, command, as_array):
+    """`step` is the one place an action is bounded: a command outside
+    [-1, 1] gives the bit-identical next state of its clipped copy."""
+    cfg = DynamicsConfig()
+    s = make_state(pos=(1.0, -2.0, 3.0), vel=velocity, yaw=yaw, t=0.5)
+    clipped = np.clip(command, -1.0, 1.0)
+    cmd = np.array(command) if as_array else command
+    assert step(s, cmd, cfg.dt, cfg) == step(s, clipped, cfg.dt, cfg)

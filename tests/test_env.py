@@ -80,8 +80,7 @@ def test_step_straight_through_gate_registers_pass():
                            velocity=10.0 * gate.normal,
                            attitude=np.array([0.0, 0.0, gate.yaw]),
                            angular_velocity=np.zeros(3), time=0.5)
-    reward, done, info = env.step(np.zeros(3))
-    assert info["events"]["pass"] is not None
+    reward, done = env.step(np.zeros(3))
     assert env.status.gates_passed == 1
     assert reward > env.reward_cfg.pass_reward * 0.9
 
@@ -97,8 +96,8 @@ def test_pass_detected_near_opening_edge():
                            velocity=10.0 * gate.normal,
                            attitude=np.array([0.0, 0.0, gate.yaw]),
                            angular_velocity=np.zeros(3), time=0.5)
-    _, _, info = env.step(np.zeros(3))
-    assert info["events"]["pass"] is not None
+    env.step(np.zeros(3))
+    assert env.status.gates_passed == 1
 
 
 def test_frame_hit_registers_collision():
@@ -111,8 +110,7 @@ def test_frame_hit_registers_collision():
                            velocity=10.0 * gate.normal,
                            attitude=np.array([0.0, 0.0, gate.yaw]),
                            angular_velocity=np.zeros(3), time=0.5)
-    reward, done, info = env.step(np.zeros(3))
-    assert info["events"]["collision"]
+    reward, done = env.step(np.zeros(3))
     assert env.status.collisions == 1
     assert reward < 0
 
@@ -138,28 +136,27 @@ def test_frame_corner_hit_registers_collision():
     assert np.linalg.norm(p1) > (max(gate.half_width, gate.half_height)
                                  + gate.frame_thickness + env.drone_radius
                                  + env.dyn_cfg.v_max * env.dyn_cfg.dt)
-    assert env.detect_events(state(p0), state(p1))["collision"]
+    assert env.detect_events(state(p0), state(p1))[1]
     # the step before does not touch the frame, so this one is the only hit
-    assert not env.detect_events(state(p0 - 0.74 * d), state(p0))["collision"]
+    assert not env.detect_events(state(p0 - 0.74 * d), state(p0))[1]
 
 
-def test_episode_info_on_termination():
+def test_status_on_termination():
     env = make_env(time_limit=0.2)
     env.reset()
     total = 0.0
     steps = 0
     while True:
-        reward, done, info = env.step(np.zeros(3))
+        reward, done = env.step(np.zeros(3))
         total += reward
         steps += 1
         if done:
             break
         env.observe()
-    ep = info["episode"]
-    assert ep.termination == TERM_TIME_LIMIT
-    assert ep.steps == steps
-    assert ep.episode_return == pytest.approx(total)
-    assert ep.gates_passed == 0
+    assert env.status.done == TERM_TIME_LIMIT
+    assert env.agent.time == pytest.approx(steps * env.dyn_cfg.dt)
+    assert env.status.episode_return == pytest.approx(total)
+    assert env.status.gates_passed == 0
 
 
 def test_opponent_advances_during_episode():
@@ -167,7 +164,7 @@ def test_opponent_advances_during_episode():
     env.reset()
     p0 = env.opp.drone.position
     for _ in range(20):
-        _, done, _ = env.step(np.zeros(3))
+        _, done = env.step(np.zeros(3))
         if done:
             break
     assert np.linalg.norm(np.asarray(env.opp.drone.position) - p0) > 1.0
@@ -193,7 +190,7 @@ def test_state_dict_roundtrip_continues_bitwise():
                     sensor_rng=np.random.default_rng(1))
     env.reset()
     for a in actions[:40]:
-        _, done, _ = env.step(a)
+        _, done = env.step(a)
         assert not done
         env.observe()
 
@@ -203,14 +200,15 @@ def test_state_dict_roundtrip_continues_bitwise():
                       sensor_rng=copy.deepcopy(env.sensor_rng))
     other.load_state_dict(state)
     for a in actions[40:]:
-        r1, done, info1 = env.step(a)
-        r2, done2, info2 = other.step(a)
+        r1, done = env.step(a)
+        r2, done2 = other.step(a)
         assert r1 == r2 and done == done2
         if done:
             break
         np.testing.assert_array_equal(env.observe(), other.observe())
     assert done
-    assert info1["episode"] == info2["episode"]
+    assert env.status == other.status
+    assert env.agent.time == other.agent.time
 
 
 def _assert_float_triples(*vectors):

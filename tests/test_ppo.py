@@ -279,6 +279,22 @@ def test_ppo_update_respects_log_std_bounds():
     assert np.all(params.log_std >= -5.0) and np.all(params.log_std <= 2.0)
 
 
+@pytest.mark.parametrize("target_kl", [None, 1e-9])
+def test_target_kl_ends_the_update_early(target_kl):
+    """A tiny target_kl stops the update after fewer minibatches than
+    epochs x batches; without one, every minibatch runs."""
+    cfg = TrainConfig(rollout_steps=64, minibatch_size=16,
+                      epochs_per_update=4, target_kl=target_kl)
+    params, buf = make_update_inputs(seed=3)
+    adam = Adam([p.shape for p in params.flat_list()])
+    ppo_update(params, buf, cfg, np.random.default_rng(0), adam)
+    every = cfg.epochs_per_update * cfg.rollout_steps // cfg.minibatch_size
+    if target_kl is None:
+        assert adam.t == every
+    else:
+        assert 1 <= adam.t < every
+
+
 def test_ppo_update_keeps_master_state_float64():
     """The minibatches, their gradients and the Adam moments are float32,
     but the parameters stay float64 in their own memory order."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gateracer.dynamics import DroneState
-from gateracer.geometry import PassEvent, default_track
+from gateracer.geometry import default_track
 from gateracer.opponent import expected_gate_times, plan
 from gateracer.rewards import (RewardConfig, TERM_ALL_GATES,
                                TERM_COLLISION_LIMIT, TERM_NONE,
@@ -15,9 +15,6 @@ def state_at(pos, t=0.0):
     return DroneState(position=np.array(pos, dtype=float),
                       velocity=np.zeros(3), attitude=np.zeros(3),
                       angular_velocity=np.zeros(3), time=t)
-
-
-NO_EVENTS = {"pass": None, "collision": False}
 
 
 @pytest.fixture
@@ -63,7 +60,7 @@ def test_progress_reward_one_meter(track, opp_times):
     d0 = center + 6.0 * track.gates[0].normal * -1.0
     prev = state_at(d0)
     nxt = state_at(d0 + track.gates[0].normal, t=0.05)
-    r, _ = compute_step(prev, nxt, st, NO_EVENTS, cfg, opp_times, track)
+    r, _ = compute_step(prev, nxt, st, False, False, cfg, opp_times, track)
     assert r == pytest.approx(cfg.progress_coef * 1.0, abs=1e-12)
 
 
@@ -72,7 +69,7 @@ def test_proximity_bonus_inside_band(track, opp_times):
     st = init_status(track, opp_times, cfg)
     center = track.gates[0].center
     p = center - 2.0 * track.gates[0].normal
-    r, _ = compute_step(state_at(p), state_at(p, t=0.05), st, NO_EVENTS,
+    r, _ = compute_step(state_at(p), state_at(p, t=0.05), st, False, False,
                         cfg, opp_times, track)
     assert r == pytest.approx(cfg.proximity_bonus)
 
@@ -83,9 +80,7 @@ def test_pass_event_reward_and_deadline(track, opp_times):
     center = track.gates[0].center
     prev = state_at(center - 0.2 * track.gates[0].normal, t=1.0)
     nxt = state_at(center + 0.2 * track.gates[0].normal, t=1.05)
-    ev = {"pass": PassEvent(gate_id=0, time=1.05, crossing_point=center),
-          "collision": False}
-    r, st2 = compute_step(prev, nxt, st, ev, cfg, opp_times, track)
+    r, st2 = compute_step(prev, nxt, st, True, False, cfg, opp_times, track)
     assert r >= cfg.pass_reward
     assert st2.target_gate == 1 and st2.gates_passed == 1
     budget = cfg.timer_multiplier * (opp_times[1] - opp_times[0])
@@ -103,10 +98,8 @@ def test_deadlines_replayed_match_budgets(track, opp_times):
         t += 1.0
         prev = state_at(gate.center - 0.1 * gate.normal, t=t - 0.05)
         nxt = state_at(gate.center + 0.1 * gate.normal, t=t)
-        ev = {"pass": PassEvent(gate_id=gate.id, time=t,
-                                crossing_point=gate.center),
-              "collision": False}
-        _, st = compute_step(prev, nxt, st, ev, cfg, opp_times, track)
+        _, st = compute_step(prev, nxt, st, True, False, cfg, opp_times,
+                             track)
         budget = cfg.timer_multiplier * (opp_times[gate_idx + 1]
                                          - opp_times[gate_idx])
         assert st.gate_deadline == pytest.approx(t + budget)
@@ -117,8 +110,7 @@ def test_collision_penalty_and_count(track, opp_times):
     st = init_status(track, opp_times, cfg)
     p = track.gates[0].center - 5.0 * track.gates[0].normal
     r, st2 = compute_step(state_at(p), state_at(p, t=0.05), st,
-                          {"pass": None, "collision": True}, cfg,
-                          opp_times, track)
+                          False, True, cfg, opp_times, track)
     assert r == pytest.approx(cfg.collision_penalty)
     assert st2.collisions == 1
 
@@ -128,16 +120,14 @@ def test_stuck_penalty_near_passed_gate(track, opp_times):
     st = init_status(track, opp_times, cfg)
     gate0 = track.gates[0]
     # pass gate 0 at t=1
-    ev = {"pass": PassEvent(gate_id=0, time=1.0, crossing_point=gate0.center),
-          "collision": False}
     _, st = compute_step(state_at(gate0.center - 0.1 * gate0.normal, 0.95),
                          state_at(gate0.center + 0.1 * gate0.normal, 1.0),
-                         st, ev, cfg, opp_times, track)
+                         st, True, False, cfg, opp_times, track)
     # hover 1 m past gate 0, after the new deadline has expired
     late = st.gate_deadline + 5.0
     spot = gate0.center + 1.0 * gate0.normal
     r, _ = compute_step(state_at(spot, late - 0.05), state_at(spot, late),
-                        st, NO_EVENTS, cfg, opp_times, track)
+                        st, False, False, cfg, opp_times, track)
     d_prev = np.linalg.norm(spot - track.gates[1].center)
     base = 0.0  # zero movement: no progress term
     if d_prev < cfg.proximity_radius:
@@ -151,7 +141,7 @@ def test_no_stuck_penalty_before_first_pass(track, opp_times):
     late = st.gate_deadline + 10.0
     p = track.gates[0].center - 1.0 * track.gates[0].normal
     r, _ = compute_step(state_at(p, late - 0.05), state_at(p, late), st,
-                        NO_EVENTS, cfg, opp_times, track)
+                        False, False, cfg, opp_times, track)
     assert r == pytest.approx(cfg.proximity_bonus)
 
 
@@ -161,7 +151,7 @@ def test_compute_step_after_done_raises(track, opp_times):
     st.done = TERM_TIME_LIMIT
     with pytest.raises(ValueError):
         compute_step(state_at([0, 0, 0]), state_at([0, 0, 0], 0.05), st,
-                     NO_EVENTS, cfg, opp_times, track)
+                     False, False, cfg, opp_times, track)
 
 
 def test_termination_priorities(track, opp_times):

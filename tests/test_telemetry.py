@@ -22,10 +22,12 @@ def recv_lines(conn, n, timeout=5.0):
 
 def test_parse_address():
     assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
-    with pytest.raises(ValueError):
-        parse_address("9000")
-    with pytest.raises(ValueError):
-        parse_address("host:")
+    assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert parse_address("localhost:65535") == ("localhost", 65535)
+    for bad in ("9000", "host:", "127.0.0.1:65536", "127.0.0.1:70000",
+                "127.0.0.1:-1", "127.0.0.1:99999999999999999999"):
+        with pytest.raises(ValueError):
+            parse_address(bad)
 
 
 def test_client_receives_published_lines():

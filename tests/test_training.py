@@ -32,21 +32,30 @@ def test_make_streams_deterministic_and_independent():
 
 def test_rollout_fills_buffer_and_advances_clock(tmp_path):
     tr = Trainer(small_cfg(), seed=0, out_dir=tmp_path)
-    buf, infos = tr.collect_rollout()
+    reasons = []
+    emit = tr._emit_episode
+
+    def spy_emit():
+        reasons.append(tr.env.status.done)
+        emit()
+
+    tr._emit_episode = spy_emit
+    buf = tr.collect_rollout()
     assert buf.full
     assert tr.global_step == tr.cfg.train.rollout_steps
     assert np.all(np.isfinite(buf.obs))
     assert np.all(np.abs(buf.obs) <= 10.0)  # normalized and clipped
     # every recorded episode termination is a declared reason
-    for ep in infos:
-        assert ep.termination in ("all_gates", "too_far", "collision_limit",
-                                  "time_limit")
+    assert len(reasons) == tr.episode_count > 0
+    for reason in reasons:
+        assert reason in ("all_gates", "too_far", "collision_limit",
+                          "time_limit")
     tr.metrics.close()
 
 
 def test_rollout_values_match_the_critic(tmp_path):
     tr = Trainer(small_cfg(), seed=0, out_dir=tmp_path)
-    buf, _ = tr.collect_rollout()
+    buf = tr.collect_rollout()
     _, _, _, v = forward_batch(tr.params.critic, buf.obs)
     np.testing.assert_allclose(buf.values, v[:, 0], rtol=0, atol=1e-12)
     _, _, _, v_next = forward_batch(tr.params.critic, tr._pending_obs[None])
@@ -146,7 +155,7 @@ def test_checkpoint_resume_continues_exactly(tmp_path, randomize_per_episode):
     tr_part = Trainer(cfg(2048), seed=5, out_dir=part_out)
     ckpt_path = tr_part.train()
     env_state = load_checkpoint(ckpt_path)["env"]
-    assert env_state["episode_steps"] > 0
+    assert env_state["agent"]["time"] > 0
     if randomize_per_episode:
         assert env_state["track"] != track_to_dict(tr_part.base_track)
 
@@ -165,6 +174,47 @@ def test_checkpoint_resume_continues_exactly(tmp_path, randomize_per_episode):
     part_lines = (part_out / "metrics.jsonl").read_text().splitlines()
     res_lines = (resume_out / "metrics.jsonl").read_text().splitlines()
     assert part_lines + res_lines == full_lines
+
+
+def test_fresh_run_starts_the_metrics_log_empty(tmp_path):
+    """A fresh run into a directory that already holds a metrics log
+    leaves the same bytes as one run there; only a resume appends."""
+    def cfg():
+        c = small_cfg(total_steps=512)
+        c.train.rollout_steps = 256
+        return c
+
+    Trainer(cfg(), seed=2, out_dir=tmp_path / "once").train()
+    for _ in range(2):
+        Trainer(cfg(), seed=2, out_dir=tmp_path / "twice").train()
+    once = (tmp_path / "once" / "metrics.jsonl").read_bytes()
+    assert once.strip()
+    assert (tmp_path / "twice" / "metrics.jsonl").read_bytes() == once
+
+
+@pytest.mark.parametrize("lr_decay", [False, True])
+def test_lr_decay_falls_linearly(tmp_path, monkeypatch, lr_decay):
+    """With lr_decay the learning rate handed to each update falls
+    linearly from learning_rate toward 0 over the step budget; without
+    it, it stays at learning_rate."""
+    from gateracer import training
+
+    lrs = []
+    update = training.ppo_update
+
+    def spy(*args, lr, **kwargs):
+        lrs.append(lr)
+        return update(*args, lr=lr, **kwargs)
+
+    monkeypatch.setattr(training, "ppo_update", spy)
+    cfg = small_cfg(total_steps=4 * 256)
+    cfg.train.rollout_steps = 256
+    cfg.train.epochs_per_update = 1
+    cfg.train.lr_decay = lr_decay
+    Trainer(cfg, seed=0, out_dir=tmp_path).train()
+    lr0 = cfg.train.learning_rate
+    fracs = [1.0, 0.75, 0.5, 0.25] if lr_decay else [1.0] * 4
+    assert lrs == pytest.approx([lr0 * f for f in fracs], rel=1e-12)
 
 
 def test_resume_without_config_uses_checkpoint_config(tmp_path):
