@@ -1,9 +1,10 @@
 """From-scratch actor/critic MLPs (3 hidden tanh layers), the diagonal
 Gaussian action head, and an adaptive-moment optimizer.
 
-The parameters are float64, and so is acting; the optimizer's moments
-are float32. The MLP functions follow the dtype of the arrays they are
-given, which lets the PPO update run its minibatches in float32."""
+The parameters are float64, and so is acting in training; the
+optimizer's moments are float32. The MLP functions compute in the dtype
+of the weights they are given, casting the input to it, which lets the
+PPO update run its minibatches and evaluation act in float32."""
 
 from __future__ import annotations
 
@@ -102,15 +103,16 @@ def forward(params: PolicyParams, obs: np.ndarray):
     """(mean, log_std) of the action distribution for a single
     observation, from the actor alone. The critic is not needed to act;
     training evaluates it batched once per rollout (ppo.fill_values)."""
-    obs = np.asarray(obs, dtype=np.float64)
+    obs = np.asarray(obs, dtype=params.actor[0].dtype)
     if obs.shape != (params.obs_dim,):
         raise ValueError(f"expected obs shape ({params.obs_dim},), got {obs.shape}")
     return _mlp_forward(obs, *params.actor)[3], params.log_std.copy()
 
 
 def forward_batch(net: list[np.ndarray], obs: np.ndarray):
-    """Batched MLP forward; returns (h1, h2, h3, out)."""
-    return _mlp_forward(np.ascontiguousarray(obs), *net)
+    """Batched MLP forward in the weights' dtype; returns (h1, h2, h3,
+    out)."""
+    return _mlp_forward(np.ascontiguousarray(obs, dtype=net[0].dtype), *net)
 
 
 def backward_batch(net: list[np.ndarray], obs, h1, h2, h3, dout):

@@ -177,10 +177,14 @@ class Trainer:
 
     def train(self) -> str:
         """Iterate until the step budget; returns the final checkpoint
-        path."""
+        path. The final save is skipped when the last iteration has just
+        written the same state there."""
+        start = self.update_count
         while self.global_step < self.cfg.train.total_steps:
             self.iterate()
-        self.save(self.checkpoint_path)
+        if (self.update_count == start or self.update_count
+                % self.cfg.harness.checkpoint_interval):
+            self.save(self.checkpoint_path)
         self.metrics.close()
         return self.checkpoint_path
 

@@ -137,6 +137,39 @@ def test_one_actor_forward_per_lockstep_step(noisy_state, monkeypatch):
     assert len(lengths) > 1  # episodes did leave the batch at different steps
 
 
+def test_actor_acts_in_float32_on_a_copy(noisy_state, monkeypatch):
+    """Batched and lone-episode forwards get float32 weights and inputs
+    and return float32 means; the checkpoint's float64 actor is left as
+    it was."""
+    # the actor's four weights and four biases come first
+    actor = {f"param{i:02d}": noisy_state["arrays"][f"param{i:02d}"].copy()
+             for i in range(8)}
+    seen = []
+
+    def spy_batch(net, obs):
+        out = networks.forward_batch(net, obs)
+        seen.append(("batch", net, obs, out[3]))
+        return out
+
+    def spy_one(params, obs):
+        mean, log_std = networks.forward(params, obs)
+        seen.append(("one", params.actor, obs, mean))
+        return mean, log_std
+
+    monkeypatch.setattr(evaluation, "forward_batch", spy_batch)
+    monkeypatch.setattr(evaluation, "forward", spy_one)
+    for run in _runs(noisy_state, seed=2):
+        for episodes in (1, 3):
+            run(episodes)
+    assert {kind for kind, *_ in seen} == {"batch", "one"}
+    for _, net, obs, mean in seen:
+        assert [a.dtype for a in net] == [np.float32] * len(actor)
+        assert obs.dtype == mean.dtype == np.float32
+    for name, a in actor.items():
+        assert noisy_state["arrays"][name].dtype == np.float64
+        np.testing.assert_array_equal(noisy_state["arrays"][name], a)
+
+
 def test_episode_outcome_does_not_depend_on_the_episode_count(noisy_state,
                                                               monkeypatch):
     """With a policy whose rows are computed one by one, as `forward`

@@ -31,16 +31,32 @@ def test_forward_batch_matches_oracle():
     np.testing.assert_allclose(out, mlp_oracle(x, net), atol=1e-12)
 
 
-def test_forward_single_matches_batch():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_forward_single_matches_batch(dtype):
+    """Both forwards compute in the weights' dtype, casting a float64
+    observation to it; float32 stays within 1e-5 of float64."""
     rng = np.random.default_rng(1)
-    params = init_policy(rng, obs_dim=6, hidden=8)
+    params64 = init_policy(rng, obs_dim=6, hidden=8)
+    params = params64.astype(dtype)
     obs = rng.standard_normal(6)
     mean, log_std = forward(params, obs)
-    _, _, _, m_batch = forward_batch(params.actor, obs[None, :])
+    *hidden, m_batch = forward_batch(params.actor, obs[None, :])
     _, _, _, v_batch = forward_batch(params.critic, obs[None, :])
-    np.testing.assert_allclose(mean, m_batch[0], atol=1e-14)
-    np.testing.assert_allclose(v_batch[0], mlp_oracle(obs, params.critic),
-                               atol=1e-14)
+    for out in (mean, *hidden, m_batch, v_batch):
+        assert out.dtype == dtype
+    if dtype == np.float64:
+        np.testing.assert_allclose(mean, m_batch[0], atol=1e-14)
+        np.testing.assert_allclose(v_batch[0], mlp_oracle(obs, params.critic),
+                                   atol=1e-14)
+    else:
+        hidden64 = forward_batch(params64.actor, obs[None, :])[:3]
+        for h, h64 in zip(hidden, hidden64):
+            np.testing.assert_allclose(h, h64, rtol=1e-5)
+        want = mlp_oracle(obs, params64.actor)
+        np.testing.assert_allclose(mean, want, rtol=1e-5)
+        np.testing.assert_allclose(m_batch[0], want, rtol=1e-5)
+        np.testing.assert_allclose(v_batch[0],
+                                   mlp_oracle(obs, params64.critic), rtol=1e-5)
     np.testing.assert_array_equal(log_std, params.log_std)
 
 

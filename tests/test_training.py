@@ -217,6 +217,37 @@ def test_lr_decay_falls_linearly(tmp_path, monkeypatch, lr_decay):
     assert lrs == pytest.approx([lr0 * f for f in fracs], rel=1e-12)
 
 
+@pytest.mark.parametrize("interval, saved_at", [(2, [2, 4]), (3, [3, 4])])
+def test_train_saves_each_checkpoint_once(tmp_path, monkeypatch, interval,
+                                          saved_at):
+    """The final save is skipped when the last update has just written
+    the checkpoint; a run with nothing left to train still writes one."""
+    from gateracer import checkpoint
+
+    counts = []
+
+    def spy(path, state):
+        counts.append(state["counters"]["update_count"])
+        return save_checkpoint(path, state)
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", spy)
+    cfg = small_cfg(total_steps=4 * 256)
+    cfg.train.rollout_steps = 256
+    cfg.train.epochs_per_update = 1
+    cfg.harness.checkpoint_interval = interval
+    tr = Trainer(cfg, seed=0, out_dir=tmp_path / "run")
+    path = tr.train()
+    assert counts == saved_at
+    save_checkpoint(tmp_path / "again.bin", tr._state_dict())
+    assert ((tmp_path / "again.bin").read_bytes()
+            == (tmp_path / "run" / "checkpoint.bin").read_bytes())
+
+    counts.clear()
+    done = Trainer(None, seed=0, out_dir=tmp_path / "done", resume=path)
+    assert load_checkpoint(done.train())["counters"]["update_count"] == 4
+    assert counts == [4]
+
+
 def test_resume_without_config_uses_checkpoint_config(tmp_path):
     tr = Trainer(small_cfg(), seed=9, out_dir=tmp_path / "a")
     path = tr.train()
