@@ -2,10 +2,10 @@
 
 Both step all their episodes in lockstep: each episode has its own env
 and its own spawn, sensor and action streams, and each lockstep step
-makes one batched actor forward over the episodes still running. The
-actor acts in float32, on a copy of its weights: its forward is bound
-by reading them. Normalization, sampling and the dynamics stay
-float64."""
+makes one actor forward over the episodes still running, down to the
+last one. The actor acts in float32, on a copy of its weights: its
+forward is bound by reading them. Normalization, sampling and the
+dynamics stay float64."""
 
 from __future__ import annotations
 
@@ -16,9 +16,8 @@ import numpy as np
 from .checkpoint import load_policy
 from .config import run_config_from_dict
 from .env import RacingEnv
-from .geometry import (Track, norm3, sample_spawn, segment_gate_crossing,
-                       track_from_dict)
-from .networks import forward, forward_batch, sample_action
+from .geometry import Track, norm3, sample_spawn, track_from_dict
+from .networks import forward, sample_action
 from .normalization import normalize_observation
 from .rewards import TERM_ALL_GATES
 
@@ -53,36 +52,20 @@ def _lockstep(params, stats, envs, obs, action_rngs, deterministic,
     """Steps every episode until `step(k, action)` reports episode k over.
 
     `obs` holds each env's first observation. Each lockstep step
-    normalizes the live episodes' observations as one `(live, 21)` array
-    and runs one batched actor forward over them; an episode leaves the
-    batch once it is over. The last live episode, which is every episode
-    of a one-episode call, runs on alone with the single-observation
-    `forward`. In float32 both cost about 16 µs (2-vCPU x86_64, numpy
-    2.4, OpenBLAS); the loop stays because the benchmark's
-    `eval-default10` workload expects `networks.forward` calls."""
-    def policy_input(o):
-        return normalize_observation(stats, o).astype(ACT_DTYPE)
-
+    normalizes the live episodes' observations as one `(live, 21)` array,
+    makes one actor forward over it and steps each live episode; an
+    episode leaves the batch once it is over."""
     live = list(range(len(envs)))
-    while len(live) > 1:
-        mean = forward_batch(params.actor, policy_input(np.array(obs)))[3]
+    while live:
+        x = normalize_observation(stats, np.array(obs)).astype(ACT_DTYPE)
+        mean, log_std = forward(params, x)
         if deterministic:
             actions = mean.tolist()
         else:
-            actions = [sample_action(m, params.log_std, action_rngs[k])[0]
+            actions = [sample_action(m, log_std, action_rngs[k])[0]
                        for k, m in zip(live, mean)]
         live = [k for k, a in zip(live, actions) if not step(k, a)]
         obs = [envs[k].observe() for k in live]
-    for k, o in zip(live, obs):
-        while True:
-            mean, log_std = forward(params, policy_input(o))
-            if deterministic:
-                action = mean
-            else:
-                action = sample_action(mean, log_std, action_rngs[k])[0]
-            if step(k, action):
-                break
-            o = envs[k].observe()
 
 
 def _displaced_spawn(track: Track, rng, spawn_distance, yaw_error):
@@ -134,25 +117,18 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
          seed: int = 0, deterministic: bool = True) -> dict:
     """Agent and opponent step in lockstep from the same spawn; winner is
     the first to pass every gate, ties go to the opponent. Agent
-    termination before finishing counts as a DNF."""
+    termination before finishing counts as a DNF. The opponent has passed
+    every gate once it has flown its whole plan, whose last waypoint is
+    the last gate's centre."""
     params, stats, envs, action_rngs = _setup(ckpt_state, episodes, track,
                                               seed)
     obs = [env.reset() for env in envs]
-    opp_target = [0] * episodes
     outcomes = [None] * episodes
 
     def step(k, action):
         env = envs[k]
-        gates = env.track.gates
-        opp_prev = env.opp.drone.position
         _, done = env.step(action)
-        # track the opponent's own gate progress on the same step
-        if opp_target[k] < len(gates):
-            point = segment_gate_crossing(opp_prev, env.opp.drone.position,
-                                          gates[opp_target[k]])
-            if point is not None:
-                opp_target[k] += 1
-        if opp_target[k] >= len(gates):
+        if env.opp.waypoint_index == len(env.plan.points):
             outcomes[k] = "opponent"  # ties break to the opponent
         elif done and env.status.done == TERM_ALL_GATES:
             outcomes[k] = "agent"

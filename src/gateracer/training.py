@@ -64,7 +64,9 @@ class Trainer:
         self.update_count = 0
         self._last_update_stats: dict | None = None
         self.checkpoint_path = os.path.join(self.out_dir, "checkpoint.bin")
-        self.base_track = resolve_track(run_cfg)
+        # a resumed run keeps the track it saved, whatever its file holds now
+        self.base_track = (resolve_track(run_cfg) if state is None
+                           else track_from_dict(state["track"]))
         metrics_path = os.path.join(self.out_dir, "metrics.jsonl")
         if state is not None:
             _truncate_to_checkpoint(metrics_path, resume, state)

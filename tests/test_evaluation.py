@@ -9,7 +9,7 @@ from gateracer.config import RunConfig, TrackSettings
 from gateracer.dynamics import DynamicsConfig
 from gateracer.env import RacingEnv
 from gateracer.evaluation import evaluate, race
-from gateracer.geometry import default_track, sample_spawn
+from gateracer.geometry import default_track, sample_spawn, track_from_dict
 from gateracer.training import Trainer
 
 
@@ -56,6 +56,31 @@ def test_evaluate_and_race_never_touch_the_critic(tmp_path):
     assert race(broken, episodes=1) == race(state, episodes=1)
 
 
+@pytest.mark.parametrize("heading,cruise_speed,outcome", [
+    (1.0, 1.0, {"agent_wins": 8, "opponent_wins": 0, "agent_dnf": 0}),
+    (0.0, 4.0, {"agent_wins": 0, "opponent_wins": 8, "agent_dnf": 0}),
+    (-1.0, 1.0, {"agent_wins": 0, "opponent_wins": 1, "agent_dnf": 7}),
+])
+def test_race_outcomes(tmp_path, heading, cruise_speed, outcome):
+    """On one gate, a policy that always commands `heading` times the gate
+    normal beats a slow opponent when it flies through the gate, loses to
+    a fast one when it hovers, and flies off (a DNF) when it turns its
+    back on the gate."""
+    tr = Trainer(RunConfig(track=TrackSettings(seed=4, n_gates=1)), seed=0,
+                 out_dir=tmp_path)
+    state = load_checkpoint(tr.save(tmp_path / "checkpoint.bin"))
+    tr.metrics.close()
+    normal = track_from_dict(state["track"]).gates[0].normal
+    # the actor's output layer: weights param06 and bias param07
+    arrays = dict(state["arrays"],
+                  param06=np.zeros_like(state["arrays"]["param06"]),
+                  param07=heading * normal)
+    config = dict(state["config"], opponent=dict(
+        state["config"]["opponent"], cruise_speed=cruise_speed))
+    state = dict(state, arrays=arrays, config=config)
+    assert race(state, episodes=8, seed=1) == {"episodes": 8, **outcome}
+
+
 def test_displaced_spawn_sets_distance_and_yaw_offset(monkeypatch):
     track = default_track(3, n_gates=3)
     center = track.gates[0].center.copy()
@@ -97,16 +122,12 @@ def test_displaced_spawn_sets_distance_and_yaw_offset(monkeypatch):
 
 
 def test_one_actor_forward_per_lockstep_step(noisy_state, monkeypatch):
-    rows, batched = [], []
+    rows = []
 
-    def spy_batch(net, obs):
+    def spy(params, obs):
+        # every call gets a float32 batch, a lone live episode included
+        assert obs.dtype == np.float32 and obs.shape == (len(obs), 21)
         rows.append(len(obs))
-        batched.append(True)
-        return networks.forward_batch(net, obs)
-
-    def spy_one(params, obs):
-        rows.append(1)
-        batched.append(False)
         return networks.forward(params, obs)
 
     steps = {}
@@ -116,13 +137,11 @@ def test_one_actor_forward_per_lockstep_step(noisy_state, monkeypatch):
         steps[env] = steps.get(env, 0) + 1
         return env_step(env, action)
 
-    monkeypatch.setattr(evaluation, "forward_batch", spy_batch)
-    monkeypatch.setattr(evaluation, "forward", spy_one)
+    monkeypatch.setattr(evaluation, "forward", spy)
     monkeypatch.setattr(RacingEnv, "step", counted_step)
-    lengths = set()
+    lengths, sizes = set(), set()
     for run in _runs(noisy_state, seed=1):
         rows.clear()
-        batched.clear()
         steps.clear()
         run(6)
         assert len(steps) == 6
@@ -131,38 +150,31 @@ def test_one_actor_forward_per_lockstep_step(noisy_state, monkeypatch):
         assert rows[0] == 6
         assert all(a >= b for a, b in zip(rows, rows[1:]))
         assert sum(rows) == sum(steps.values())
-        # batched while two or more run, single-observation for a lone one
-        assert batched == [n > 1 for n in rows]
         lengths.update(steps.values())
+        sizes.update(rows)
     assert len(lengths) > 1  # episodes did leave the batch at different steps
+    assert 1 in sizes  # a lone live episode is a batch of one
 
 
 def test_actor_acts_in_float32_on_a_copy(noisy_state, monkeypatch):
-    """Batched and lone-episode forwards get float32 weights and inputs
-    and return float32 means; the checkpoint's float64 actor is left as
-    it was."""
+    """The actor forward gets float32 weights and inputs and returns
+    float32 means; the checkpoint's float64 actor is left as it was."""
     # the actor's four weights and four biases come first
     actor = {f"param{i:02d}": noisy_state["arrays"][f"param{i:02d}"].copy()
              for i in range(8)}
     seen = []
 
-    def spy_batch(net, obs):
-        out = networks.forward_batch(net, obs)
-        seen.append(("batch", net, obs, out[3]))
-        return out
-
-    def spy_one(params, obs):
+    def spy(params, obs):
         mean, log_std = networks.forward(params, obs)
-        seen.append(("one", params.actor, obs, mean))
+        seen.append((params.actor, obs, mean))
         return mean, log_std
 
-    monkeypatch.setattr(evaluation, "forward_batch", spy_batch)
-    monkeypatch.setattr(evaluation, "forward", spy_one)
+    monkeypatch.setattr(evaluation, "forward", spy)
     for run in _runs(noisy_state, seed=2):
         for episodes in (1, 3):
             run(episodes)
-    assert {kind for kind, *_ in seen} == {"batch", "one"}
-    for _, net, obs, mean in seen:
+    assert {len(obs) for _, obs, _ in seen} >= {1, 3}
+    for net, obs, mean in seen:
         assert [a.dtype for a in net] == [np.float32] * len(actor)
         assert obs.dtype == mean.dtype == np.float32
     for name, a in actor.items():
@@ -172,9 +184,8 @@ def test_actor_acts_in_float32_on_a_copy(noisy_state, monkeypatch):
 
 def test_episode_outcome_does_not_depend_on_the_episode_count(noisy_state,
                                                               monkeypatch):
-    """With a policy whose rows are computed one by one, as `forward`
-    computes a lone episode's, episode i ends in the same state whether 4
-    or 16 episodes share its steps."""
+    """With a policy whose rows are computed one by one, episode i ends
+    in the same state whether 4 or 16 episodes share its steps."""
     made = []
 
     class RecordedEnv(RacingEnv):
@@ -182,12 +193,12 @@ def test_episode_outcome_does_not_depend_on_the_episode_count(noisy_state,
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    def rowwise(net, obs):
-        return None, None, None, np.array(
-            [networks._mlp_forward(row, *net)[3] for row in obs])
+    def rowwise(params, obs):
+        return (np.array([networks._mlp_forward(row, *params.actor)[3]
+                          for row in obs]), params.log_std.copy())
 
     monkeypatch.setattr(evaluation, "RacingEnv", RecordedEnv)
-    monkeypatch.setattr(evaluation, "forward_batch", rowwise)
+    monkeypatch.setattr(evaluation, "forward", rowwise)
 
     def finals(run, episodes):
         made.clear()

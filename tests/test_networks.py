@@ -61,9 +61,22 @@ def test_forward_single_matches_batch(dtype):
 
 
 def test_forward_rejects_wrong_shape():
-    params = init_policy(np.random.default_rng(0), obs_dim=6, hidden=8)
-    with pytest.raises(ValueError):
-        forward(params, np.zeros(5))
+    params = init_policy(np.random.default_rng(0), obs_dim=21, hidden=8)
+    for shape in [(5,), (2, 5), (2, 3, 21)]:
+        with pytest.raises(ValueError):
+            forward(params, np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(21,), (1, 21), (4, 21)])
+def test_forward_accepts_one_observation_or_a_batch(shape):
+    params = init_policy(np.random.default_rng(0), obs_dim=21, hidden=8)
+    obs = np.random.default_rng(1).standard_normal(shape)
+    mean, log_std = forward(params, obs)
+    assert mean.shape == shape[:-1] + (3,)
+    np.testing.assert_array_equal(log_std, params.log_std)
+    # a batch's rows are the single-observation means
+    for row, m in zip(np.atleast_2d(obs), np.atleast_2d(mean)):
+        np.testing.assert_allclose(forward(params, row)[0], m, rtol=1e-12)
 
 
 def test_backward_matches_finite_differences():

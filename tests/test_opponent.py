@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gateracer.dynamics import DroneState
-from gateracer.geometry import default_track
+from gateracer.geometry import (default_track, sample_spawn,
+                                segment_gate_crossing)
 from gateracer.opponent import (FollowerState, WaypointPlan, advance,
                                 expected_gate_times, plan)
 
@@ -110,3 +111,33 @@ def test_advance_deterministic():
         b = advance(p, b, DT)
     np.testing.assert_array_equal(a.drone.position, b.drone.position)
     assert a.waypoint_index == b.waypoint_index
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 40.0), (2.0, 3.0), (10.0, 15.0)])
+@pytest.mark.parametrize("cruise_speed,approach_offset",
+                         [(4.0, 1.0), (1.0, 0.5), (12.0, 1.0)])
+def test_plan_is_flown_on_the_step_its_last_gate_is_crossed(
+        spacing, cruise_speed, approach_offset):
+    """`race` counts the opponent finished once its waypoint index reaches
+    the end of the plan. On tracks whose gates are at least the approach
+    offset apart, that is the step on which counting gate crossings, in
+    order, passes the last gate."""
+    for seed in range(20):
+        track = default_track(seed, spacing=spacing)
+        p = plan(track, cruise_speed=cruise_speed,
+                 approach_offset=approach_offset)
+        state = FollowerState(drone=sample_spawn(
+            track, 0, np.random.default_rng(seed)))
+        target = 0
+        for _ in range(100_000):
+            prev = state.drone.position
+            state = advance(p, state, DT)
+            if target < track.n_gates and segment_gate_crossing(
+                    prev, state.drone.position,
+                    track.gates[target]) is not None:
+                target += 1
+            flown = state.waypoint_index == len(p.points)
+            assert flown == (target == track.n_gates), seed
+            if flown:
+                break
+        assert flown

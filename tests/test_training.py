@@ -5,7 +5,7 @@ import pytest
 
 from gateracer.checkpoint import load_checkpoint, save_checkpoint
 from gateracer.config import RunConfig, TrackSettings
-from gateracer.geometry import track_to_dict
+from gateracer.geometry import default_track, save_track, track_to_dict
 from gateracer.networks import forward_batch
 from gateracer.training import STREAM_NAMES, Trainer, make_streams
 
@@ -254,6 +254,31 @@ def test_resume_without_config_uses_checkpoint_config(tmp_path):
     tr2 = Trainer(None, seed=9, out_dir=tmp_path / "b", resume=path)
     assert tr2.cfg.track.seed == 3
     assert tr2.global_step == 2048
+
+
+def test_resume_takes_the_base_track_from_the_checkpoint(tmp_path):
+    """A resumed run keeps the base track its checkpoint stores, after
+    the track file it was first read from is rewritten and then
+    deleted."""
+    track_file = tmp_path / "track.yaml"
+    save_track(default_track(3, n_gates=3, spacing=(10.0, 12.0)), track_file)
+    cfg = small_cfg(file=str(track_file))
+    cfg.train.rollout_steps = 256
+    tr = Trainer(cfg, seed=0, out_dir=tmp_path / "a")
+    path = tr.save(tmp_path / "a" / "checkpoint.bin")
+    tr.metrics.close()
+    saved = load_checkpoint(path)["track"]
+
+    save_track(default_track(4, n_gates=5), track_file)
+    rewritten = Trainer(None, seed=0, out_dir=tmp_path / "b", resume=path)
+    rewritten.metrics.close()
+    assert track_to_dict(rewritten.base_track) == saved
+
+    track_file.unlink()
+    deleted = Trainer(None, seed=0, out_dir=tmp_path / "c", resume=path)
+    deleted.iterate()
+    deleted.metrics.close()
+    assert load_checkpoint(deleted.checkpoint_path)["track"] == saved
 
 
 def test_metrics_schema(tmp_path):
