@@ -4,7 +4,9 @@ Gaussian action head, and an adaptive-moment optimizer.
 The parameters are float64, and so is acting in training; the
 optimizer's moments are float32. The MLP functions compute in the dtype
 of the weights they are given, casting the input to it, which lets the
-PPO update run its minibatches and evaluation act in float32."""
+PPO update run its minibatches and evaluation act in float32.
+`Adam.step` can step a run of the arrays at a named step number, so that
+the update steps actor and critic on two threads at once."""
 
 from __future__ import annotations
 
@@ -179,11 +181,16 @@ class Adam:
         self.v = [np.zeros(s, dtype=np.float32) for s in shapes]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray],
-             lr: float) -> None:
-        self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+             lr: float, t: int | None = None, first: int = 0) -> None:
+        """Step number `t`, by default the next one, for the arrays from
+        index `first` on. Two disjoint runs of arrays can take the same
+        step on two threads at once: each names the step, and t becomes
+        it."""
+        t = self.t + 1 if t is None else t
+        self.t = t
+        b1t = 1.0 - self.beta1 ** t
+        b2t = 1.0 - self.beta2 ** t
+        for p, g, m, v in zip(params, grads, self.m[first:], self.v[first:]):
             # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), with one float32
             # scratch array holding each intermediate term in turn
             d = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))

@@ -1,8 +1,24 @@
 """On-policy rollout storage, GAE, and the clipped-surrogate PPO update
-with reverse-mode gradients through the from-scratch MLPs."""
+with reverse-mode gradients through the from-scratch MLPs.
+
+Each minibatch runs as two halves that share nothing but the global-norm
+clip: the policy half (actor and log_std) on the calling thread, and the
+value half (critic) on one worker thread that the update opens and
+joins. For the length of the update, OpenBLAS runs one thread per
+caller, set through its thread control found with `ctypes` and restored
+on exit; without the pin the two threads would oversubscribe the cores.
+BLAS's thread count does not change its results here, and every array
+gets the same operations in the same order, so training is bit-identical
+to running the halves one after the other. Where no such control is
+found, both halves run on the calling thread. `fill_values` runs with
+BLAS at one thread as well, so that no spinning BLAS thread is left
+beside the update's worker."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,14 +108,17 @@ def fill_values(buffer: RolloutBuffer, critic: list[np.ndarray],
     """Set values = V(obs) and bootstrap_value = V(next_obs), or 0 when
     the last step ended an episode. One critic pass over the stored
     observations plus next_obs, in chunks of `chunk` rows so the hidden
-    activations stay minibatch-sized."""
+    activations stay minibatch-sized. BLAS runs one thread here too: after
+    a two-thread product, OpenBLAS's own thread spins for about 0.13 s of
+    CPU, and the update that follows would share the second core with it."""
     if not buffer.full:
         raise ValueError("buffer must be full before computing values")
     obs = np.vstack([buffer.obs, next_obs])
     values = np.empty(obs.shape[0])
-    for start in range(0, obs.shape[0], chunk):
-        values[start:start + chunk] = forward_batch(
-            critic, obs[start:start + chunk])[3][:, 0]
+    with _one_blas_thread():
+        for start in range(0, obs.shape[0], chunk):
+            values[start:start + chunk] = forward_batch(
+                critic, obs[start:start + chunk])[3][:, 0]
     buffer.values[:] = values[:-1]
     buffer.bootstrap_value = 0.0 if buffer.dones[-1] else float(values[-1])
     return buffer
@@ -128,28 +147,27 @@ def compute_gae(buffer: RolloutBuffer, bootstrap_value: float,
     return buffer
 
 
-def _minibatch_loss_and_grads(params: PolicyParams, obs, actions, logp_old,
-                              adv, returns, cfg: TrainConfig):
-    """Total PPO loss and its gradients in flat_list() order.
+def _policy_half(actor: list[np.ndarray], log_std: np.ndarray, obs, actions,
+                 logp_old, adv, cfg: TrainConfig):
+    """Gradients of the clipped-surrogate and entropy terms for the
+    actor's arrays then log_std, and the stats they yield.
 
     The policy term maximizes min(rho*A, clamp(rho)*A); the gradient of
     the min flows through rho only where the unclipped branch is active
     (the clamp has zero slope when it saturates). Computes in the dtype
-    of the parameters: the batch is cast to it, and the gradients come
-    back in it.
+    of log_std: the batch is cast to it, and the gradients come back in
+    it.
     """
-    dtype = params.log_std.dtype
-    obs, actions, logp_old, adv, returns = (
-        np.asarray(a, dtype=dtype)
-        for a in (obs, actions, logp_old, adv, returns))
+    dtype = log_std.dtype
+    obs, actions, logp_old, adv = (np.asarray(a, dtype=dtype)
+                                   for a in (obs, actions, logp_old, adv))
     n = obs.shape[0]
     eps = cfg.clip_epsilon
 
     adv_std = float(np.std(adv))
     adv_hat = (adv - float(np.mean(adv))) / (adv_std + 1e-8)
 
-    h1, h2, h3, mean = forward_batch(params.actor, obs)
-    log_std = params.log_std
+    h1, h2, h3, mean = forward_batch(actor, obs)
     logp_new = gaussian_log_prob(actions, mean, log_std)
     ratio = np.exp(logp_new - logp_old)
     surr1 = ratio * adv_hat
@@ -165,26 +183,129 @@ def _minibatch_loss_and_grads(params: PolicyParams, obs, actions, logp_old,
     entropy = gaussian_entropy(log_std)
     dlog_std = dlog_std - cfg.entropy_coef * np.ones_like(log_std)
 
-    actor_grads = backward_batch(params.actor, obs, h1, h2, h3, dmean)
-
-    c1, c2, c3, v = forward_batch(params.critic, obs)
-    v = v[:, 0]
-    verr = v - returns
-    value_loss = float(np.mean(verr * verr))
-    dv = (cfg.value_coef * 2.0 / n) * verr
-    critic_grads = backward_batch(params.critic, obs, c1, c2, c3, dv[:, None])
-
-    total_loss = (policy_loss + cfg.value_coef * value_loss
-                  - cfg.entropy_coef * entropy)
-    grads = actor_grads + [dlog_std] + critic_grads
+    grads = backward_batch(actor, obs, h1, h2, h3, dmean) + [dlog_std]
     stats = {
         "policy_loss": policy_loss,
-        "value_loss": value_loss,
         "entropy": entropy,
         "approx_kl": float(np.mean(logp_old - logp_new)),
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps)),
     }
-    return total_loss, grads, stats
+    return grads, stats
+
+
+def _value_half(critic: list[np.ndarray], obs, returns, cfg: TrainConfig):
+    """The value loss (mean squared error against the returns) and the
+    gradients of its weighted term for the critic's arrays, in the
+    critic's dtype."""
+    dtype = critic[0].dtype
+    obs, returns = (np.asarray(a, dtype=dtype) for a in (obs, returns))
+    n = obs.shape[0]
+    c1, c2, c3, v = forward_batch(critic, obs)
+    verr = v[:, 0] - returns
+    value_loss = float(np.mean(verr * verr))
+    dv = (cfg.value_coef * 2.0 / n) * verr
+    return value_loss, backward_batch(critic, obs, c1, c2, c3, dv[:, None])
+
+
+def _join_halves(policy_grads, policy_stats, value_loss, value_grads,
+                 cfg: TrainConfig):
+    """(total loss, gradients in flat_list() order, stats) of a minibatch
+    from its two halves."""
+    stats = dict(policy_stats, value_loss=value_loss)
+    total_loss = (stats["policy_loss"] + cfg.value_coef * value_loss
+                  - cfg.entropy_coef * stats["entropy"])
+    return total_loss, policy_grads + value_grads, stats
+
+
+def _minibatch_loss_and_grads(params: PolicyParams, obs, actions, logp_old,
+                              adv, returns, cfg: TrainConfig):
+    """Total PPO loss and its gradients in flat_list() order: the two
+    halves one after the other, in the dtype of the parameters."""
+    return _join_halves(
+        *_policy_half(params.actor, params.log_std, obs, actions, logp_old,
+                      adv, cfg),
+        *_value_half(params.critic, obs, returns, cfg), cfg)
+
+
+# OpenBLAS's thread-count setter and getter: as numpy 2 wheels export
+# them, as numpy 1 wheels do, and as other builds do
+_BLAS_THREAD_CONTROLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_control():
+    """(set, get) of the thread count of the OpenBLAS numpy loaded, or
+    None when no such control is found. Symbol lookup through numpy's
+    core extension also searches the libraries it links."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _BLAS_THREAD_CONTROLS:
+        if hasattr(lib, set_name) and hasattr(lib, get_name):
+            set_threads = getattr(lib, set_name)
+            get_threads = getattr(lib, get_name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS at one thread per caller, the count found restored on exit;
+    yields False, and changes nothing, where no BLAS thread control is
+    found."""
+    control = _blas_thread_control()
+    if control is None:
+        yield False
+        return
+    set_threads, get_threads = control
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(before)
+
+
+@contextlib.contextmanager
+def _value_worker():
+    """Yields the `submit` of the value half's thread: a worker thread,
+    with BLAS at one thread until the worker is joined, or the calling
+    thread where no BLAS thread control is found."""
+    # imported here: concurrent.futures loads logging, about 10 ms of the
+    # start of every process, training or not
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    def run_now(fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    with _one_blas_thread() as pinned:
+        if not pinned:
+            yield run_now
+            return
+        with ThreadPoolExecutor(1, thread_name_prefix="ppo-value") as pool:
+            yield pool.submit
+
+
+def _minibatches(rng: np.random.Generator, n: int, size: int, epochs: int):
+    """Row indices of each minibatch: one permutation per epoch, drawn
+    when the epoch starts."""
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, size):
+            yield perm[start:start + size]
 
 
 def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
@@ -198,7 +319,11 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
     float32 copy of the parameters, and its float32 gradients go straight
     to clipping and to Adam, whose moments are float32 too; only the
     parameters themselves stay float64 (mixed precision against master
-    weights, Micikevicius et al. 2018)."""
+    weights, Micikevicius et al. 2018).
+
+    After each minibatch's clip, the worker takes the critic's Adam step
+    and then the next value half, while the caller takes the actor's step
+    and the next policy half."""
     if not buffer.advantages_ready:
         raise ValueError("advantages must be computed before the update")
     if adam is None:
@@ -207,34 +332,47 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
         lr = cfg.learning_rate
 
     flat = params.flat_list()
+    k = len(params.actor) + 1  # the policy half's arrays lead flat_list()
     obs = buffer.obs.astype(np.float32)
-    n = buffer.capacity
-    mb = cfg.minibatch_size
+    batches = _minibatches(rng, buffer.capacity, cfg.minibatch_size,
+                           cfg.epochs_per_update)
+
+    def value_job(critic_grads, t, idx):
+        """The critic's step t of the last minibatch, if any, then the
+        value half of the next, if any."""
+        if critic_grads is not None:
+            adam.step(flat[k:], critic_grads, lr, t=t, first=k)
+        if idx is not None:
+            return _value_half([c.astype(np.float32) for c in params.critic],
+                               obs[idx], buffer.returns[idx], cfg)
+
     agg: dict[str, float] = {}
     n_batches = 0
-    stop = False
-    for _ in range(cfg.epochs_per_update):
-        perm = rng.permutation(n)
-        for start in range(0, n, mb):
-            idx = perm[start:start + mb]
-            loss, grads, stats = _minibatch_loss_and_grads(
-                params.astype(np.float32), obs[idx], buffer.actions[idx],
-                buffer.log_probs[idx], buffer.advantages[idx],
-                buffer.returns[idx], cfg)
+    with _value_worker() as submit:
+        idx = next(batches)
+        value = submit(value_job, None, None, idx)
+        while idx is not None:
+            policy = _policy_half(
+                [a.astype(np.float32) for a in params.actor],
+                params.log_std.astype(np.float32), obs[idx],
+                buffer.actions[idx], buffer.log_probs[idx],
+                buffer.advantages[idx], cfg)
+            loss, grads, stats = _join_halves(*policy, *value.result(), cfg)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite PPO loss: {stats}; "
                     f"adv range [{buffer.advantages.min()}, {buffer.advantages.max()}]")
             clip_grads_global(grads, cfg.max_grad_norm)
-            adam.step(flat, grads, lr)
+            t = adam.t + 1
+            stop = (cfg.target_kl is not None
+                    and stats["approx_kl"] > 1.5 * cfg.target_kl)
+            idx = None if stop else next(batches, None)
+            value = submit(value_job, grads[k:], t, idx)
+            adam.step(flat[:k], grads[:k], lr, t=t)
             np.clip(params.log_std, LOG_STD_MIN, LOG_STD_MAX, out=params.log_std)
-            for k, val in stats.items():
-                agg[k] = agg.get(k, 0.0) + val
+            for key, val in stats.items():
+                agg[key] = agg.get(key, 0.0) + val
             n_batches += 1
-            if cfg.target_kl is not None and stats["approx_kl"] > 1.5 * cfg.target_kl:
-                stop = True
-                break
-        if stop:
-            break
-    out = {k: v / n_batches for k, v in agg.items()}
+        value.result()  # the last critic step lands before the update returns
+    out = {key: val / n_batches for key, val in agg.items()}
     return params, out

@@ -67,13 +67,8 @@ class Trainer:
         # a resumed run keeps the track it saved, whatever its file holds now
         self.base_track = (resolve_track(run_cfg) if state is None
                            else track_from_dict(state["track"]))
-        metrics_path = os.path.join(self.out_dir, "metrics.jsonl")
-        if state is not None:
-            _truncate_to_checkpoint(metrics_path, resume, state)
-        else:
-            open(metrics_path, "w").close()  # a fresh run starts the log empty
-        self.metrics = MetricsLogger(metrics_path, telemetry=telemetry)
-
+        # restored first, so that a checkpoint it rejects leaves the log
+        # untouched and no file open
         if state is not None:
             self._restore(state)
         else:
@@ -83,6 +78,13 @@ class Trainer:
             self.env = self._make_env(self.base_track)
             self._pending_obs = normalize_observation(self.obs_stats,
                                                       self.env.reset())
+
+        metrics_path = os.path.join(self.out_dir, "metrics.jsonl")
+        if state is not None:
+            _truncate_to_checkpoint(metrics_path, resume, state)
+        else:
+            open(metrics_path, "w").close()  # a fresh run starts the log empty
+        self.metrics = MetricsLogger(metrics_path, telemetry=telemetry)
 
     def _make_env(self, track: Track) -> RacingEnv:
         return RacingEnv(track, self.cfg.dynamics, self.cfg.reward,
@@ -223,11 +225,18 @@ class Trainer:
         flat = self.params.flat_list()
         self.adam = Adam([p.shape for p in flat])
         arrays = state["arrays"]
-        self.adam.load_state_dict({
-            "t": state["scalars"]["adam_t"],
-            "m": [arrays[f"adam_m{i:02d}"] for i in range(len(flat))],
-            "v": [arrays[f"adam_v{i:02d}"] for i in range(len(flat))],
-        })
+        moments = {"t": state["scalars"]["adam_t"], "m": [], "v": []}
+        for key in ("m", "v"):
+            for i, p in enumerate(flat):
+                name = f"adam_{key}{i:02d}"
+                a = arrays.get(name)
+                if a is None or a.shape != p.shape:
+                    found = "missing" if a is None else f"of shape {a.shape}"
+                    raise ckpt.CheckpointError(
+                        f"checkpoint array '{name}' is {found}; its "
+                        f"parameter is of shape {p.shape}")
+                moments[key].append(a)
+        self.adam.load_state_dict(moments)
         self.reward_scaler.load_state_dict(state["scalars"]["reward_scaler"])
         for name, gen in self.rngs.items():
             gen.bit_generator.state = state["rng"][name]

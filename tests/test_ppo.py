@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from gateracer import ppo
 from gateracer.env import OBS_DIM
-from gateracer.networks import (Adam, forward_batch, gaussian_log_prob,
-                                init_policy)
+from gateracer.networks import (Adam, clip_grads_global, forward_batch,
+                                gaussian_log_prob, init_policy)
 from gateracer.ppo import (RolloutBuffer, TrainConfig, _minibatch_loss_and_grads,
                            compute_gae, fill_values, ppo_update)
 
@@ -308,9 +311,9 @@ def test_ppo_update_keeps_master_state_float64():
     grad_dtypes = set()
     step = adam.step
 
-    def spy(flat, grads, lr):
+    def spy(flat, grads, lr, **part):
         grad_dtypes.update(g.dtype for g in grads)
-        step(flat, grads, lr)
+        step(flat, grads, lr, **part)
 
     adam.step = spy
     ppo_update(params, buf, cfg, np.random.default_rng(0), adam)
@@ -322,3 +325,131 @@ def test_ppo_update_keeps_master_state_float64():
     for a, p in zip(adam.m + adam.v, params.flat_list() * 2):
         assert a.dtype == np.float32 and a.flags.c_contiguous
         assert a.shape == p.shape
+
+
+def serial_update(params, buf, cfg, rng, adam):
+    """ppo_update's arithmetic as one loop on one thread: both halves of
+    each minibatch through _minibatch_loss_and_grads, then one Adam step
+    over every array."""
+    flat = params.flat_list()
+    obs = buf.obs.astype(np.float32)
+    agg, n_batches = {}, 0
+    for _ in range(cfg.epochs_per_update):
+        perm = rng.permutation(buf.capacity)
+        for start in range(0, buf.capacity, cfg.minibatch_size):
+            idx = perm[start:start + cfg.minibatch_size]
+            _, grads, stats = _minibatch_loss_and_grads(
+                params.astype(np.float32), obs[idx], buf.actions[idx],
+                buf.log_probs[idx], buf.advantages[idx], buf.returns[idx], cfg)
+            clip_grads_global(grads, cfg.max_grad_norm)
+            adam.step(flat, grads, cfg.learning_rate)
+            np.clip(params.log_std, -5.0, 2.0, out=params.log_std)
+            for key, val in stats.items():
+                agg[key] = agg.get(key, 0.0) + val
+            n_batches += 1
+            if (cfg.target_kl is not None
+                    and stats["approx_kl"] > 1.5 * cfg.target_kl):
+                return {key: val / n_batches for key, val in agg.items()}
+    return {key: val / n_batches for key, val in agg.items()}
+
+
+def assert_update_matches_serial(cfg, seed=3):
+    """Runs ppo_update, with the interpreter switching threads as often as
+    it can, and serial_update from the same inputs and checks that
+    parameters, Adam state, stats and the rng state are equal; returns the
+    Adam step count."""
+    runs = []
+    for update in (ppo_update, serial_update):
+        params, buf = make_update_inputs(seed=seed)
+        adam = Adam([p.shape for p in params.flat_list()])
+        rng = np.random.default_rng(11)
+        if update is ppo_update:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                stats = ppo_update(params, buf, cfg, rng, adam)[1]
+            finally:
+                sys.setswitchinterval(interval)
+        else:
+            stats = serial_update(params, buf, cfg, rng, adam)
+        runs.append((params, adam, stats, rng.bit_generator.state))
+    (p1, a1, s1, r1), (p2, a2, s2, r2) = runs
+    for x, y in zip(p1.flat_list() + a1.m + a1.v, p2.flat_list() + a2.m + a2.v):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert a1.t == a2.t
+    assert list(s1) == list(s2)
+    assert all(np.array_equal(s1[key], s2[key]) for key in s1)
+    assert r1 == r2
+    return a1.t
+
+
+def _record_backward_threads(monkeypatch, fail_on_value=False):
+    """Wraps ppo.backward_batch; returns the list of (thread, output
+    width) of its calls. With fail_on_value, the value half's call (a
+    one-column output gradient) raises."""
+    seen = []
+    original = ppo.backward_batch
+
+    def spy(net, obs, h1, h2, h3, dout):
+        seen.append((threading.get_ident(), dout.shape[1]))
+        if fail_on_value and dout.shape[1] == 1:
+            raise FloatingPointError("value half failed")
+        return original(net, obs, h1, h2, h3, dout)
+
+    monkeypatch.setattr(ppo, "backward_batch", spy)
+    return seen
+
+
+@pytest.mark.parametrize("target_kl", [None, 2e-4])
+def test_ppo_update_equals_the_serial_loop(monkeypatch, target_kl):
+    """The two halves on two threads give the serial loop's result bit for
+    bit. With target_kl the update stops inside an epoch, so the last
+    minibatch's critic step must land before ppo_update returns."""
+    cfg = TrainConfig(rollout_steps=64, minibatch_size=16,
+                      epochs_per_update=4, target_kl=target_kl)
+    seen = _record_backward_threads(monkeypatch)
+    t = assert_update_matches_serial(cfg)
+    per_epoch = cfg.rollout_steps // cfg.minibatch_size
+    if target_kl is None:
+        assert t == cfg.epochs_per_update * per_epoch
+    else:
+        assert t > per_epoch and t % per_epoch != 0  # stopped mid-epoch
+    if ppo._blas_thread_control() is not None:
+        caller = threading.get_ident()
+        # the update's calls come first, the serial loop's after them
+        update_calls = seen[:2 * t]
+        assert {ident == caller for ident, width in update_calls
+                if width == 1} == {False}
+        assert {ident == caller for ident, width in update_calls
+                if width == 3} == {True}
+
+
+def test_ppo_update_without_blas_control_runs_on_the_calling_thread(
+        monkeypatch):
+    """With no BLAS thread control found, both halves run on the calling
+    thread and still match the serial loop."""
+    monkeypatch.setattr(ppo, "_blas_thread_control", lambda: None)
+    seen = _record_backward_threads(monkeypatch)
+    before = set(threading.enumerate())
+    cfg = TrainConfig(rollout_steps=64, minibatch_size=16,
+                      epochs_per_update=2)
+    assert_update_matches_serial(cfg)
+    assert {ident for ident, _ in seen} == {threading.get_ident()}
+    assert set(threading.enumerate()) == before
+
+
+def test_ppo_update_raises_the_value_half_error_and_cleans_up(monkeypatch):
+    """An exception in the value half reaches the caller; the worker is
+    joined and BLAS's thread count is back where it was."""
+    control = ppo._blas_thread_control()
+    threads_before = control[1]() if control is not None else None
+    _record_backward_threads(monkeypatch, fail_on_value=True)
+    before = set(threading.enumerate())
+    cfg = TrainConfig(rollout_steps=64, minibatch_size=16,
+                      epochs_per_update=2)
+    params, buf = make_update_inputs(seed=3)
+    with pytest.raises(FloatingPointError, match="value half failed"):
+        ppo_update(params, buf, cfg, np.random.default_rng(0))
+    assert set(threading.enumerate()) == before
+    if control is not None:
+        assert control[1]() == threads_before

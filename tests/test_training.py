@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gateracer.checkpoint import load_checkpoint, save_checkpoint
+from gateracer.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from gateracer.cli import main as cli_main
 from gateracer.config import RunConfig, TrackSettings
 from gateracer.geometry import default_track, save_track, track_to_dict
 from gateracer.networks import forward_batch
@@ -116,6 +117,35 @@ def test_checkpoint_with_float64_moments_resumes_as_float32(tmp_path):
         np.testing.assert_array_equal(x, y)
     assert ((tmp_path / "a" / "metrics.jsonl").read_bytes()
             == (tmp_path / "b" / "metrics.jsonl").read_bytes())
+
+
+def test_resume_rejects_a_moment_of_the_wrong_shape(tmp_path):
+    """A moment whose shape differs from its parameter's stops the resume
+    at load, naming the array, instead of failing in the first Adam step
+    after a whole rollout."""
+    path = _one_update_trainer(tmp_path / "first").checkpoint_path
+    state = load_checkpoint(path)
+    assert state["arrays"]["adam_m03"].shape == (256,)
+    state["arrays"]["adam_m03"] = np.zeros(7, dtype=np.float32)
+    save_checkpoint(path, state)
+    with pytest.raises(CheckpointError, match=r"'adam_m03' is of shape \(7,\)"):
+        Trainer(None, seed=0, out_dir=tmp_path / "b", resume=path)
+
+
+def test_resume_of_a_checkpoint_missing_a_moment_is_a_cli_error(
+        tmp_path, capsys):
+    """A missing moment is a CheckpointError naming it, which `gateracer
+    train --resume` reports as an error line, not a KeyError traceback."""
+    path = _one_update_trainer(tmp_path / "first").checkpoint_path
+    state = load_checkpoint(path)
+    del state["arrays"]["adam_v05"]
+    save_checkpoint(path, state)
+    config = tmp_path / "run.yaml"
+    config.write_text("track: {n_gates: 3}\n")
+    code = cli_main(["train", "--config", str(config), "--out",
+                     str(tmp_path / "b"), "--resume", path])
+    assert code == 1
+    assert "'adam_v05' is missing" in capsys.readouterr().err
 
 
 def test_same_seed_runs_are_bit_identical(tmp_path):
