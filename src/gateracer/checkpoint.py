@@ -2,7 +2,7 @@
 member holding the JSON sections, the format version and a manifest of the
 arrays, and one little-endian `.npy` member per float32 or float64 array,
 each in its own dtype. `zipfile` checks each member's CRC-32 as it reads
-it. Also the policy's layout inside them."""
+it. Also the policy's and the optimizer's layouts inside them."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .networks import PolicyParams
+from .networks import Adam, PolicyParams
 from .normalization import RunningStats
 
 FORMAT_VERSION = 2
@@ -123,3 +123,28 @@ def load_policy(state: dict, frozen: bool):
                            "mean": arrays["obs_mean"],
                            "m2": arrays["obs_m2"], "frozen": frozen})
     return params, stats
+
+
+def optimizer_entries(adam: Adam):
+    """The optimizer's share of a checkpoint as (arrays, scalars) entries:
+    the moments in flat_list() order and the step number."""
+    arrays = {f"adam_{key}{i:02d}": a
+              for key, moments in (("m", adam.m), ("v", adam.v))
+              for i, a in enumerate(moments)}
+    return arrays, {"adam_t": adam.t}
+
+
+def load_optimizer(state: dict, params: PolicyParams) -> Adam:
+    """Inverse of optimizer_entries on a loaded state, for `params`.
+    Float64 moments, as older checkpoints hold them, are rounded to
+    float32 here, once."""
+    adam = Adam([p.shape for p in params.flat_list()])
+    adam.t = int(state["scalars"]["adam_t"])
+    for name, moment in optimizer_entries(adam)[0].items():
+        a = state["arrays"].get(name)
+        if a is None or a.shape != moment.shape:
+            found = "missing" if a is None else f"of shape {a.shape}"
+            raise CheckpointError(f"checkpoint array '{name}' is {found}; its "
+                                  f"parameter is of shape {moment.shape}")
+        moment[...] = a
+    return adam

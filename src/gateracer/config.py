@@ -73,14 +73,8 @@ class RunConfig:
     harness: HarnessConfig = field(default_factory=HarnessConfig)
 
 
-_BLOCKS = {
-    "dynamics": DynamicsConfig,
-    "reward": RewardConfig,
-    "train": TrainConfig,
-    "opponent": OpponentSettings,
-    "track": TrackSettings,
-    "harness": HarnessConfig,
-}
+# block name -> block class, in RunConfig's order
+_BLOCKS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def _is_number(v) -> bool:

@@ -27,7 +27,7 @@ def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
     remaining on the gate timer (1)."""
     if status.done != TERM_NONE:
         raise ValueError("cannot observe a finished episode")
-    gate = track.gates[status.target_gate]
+    gate = track.gates[status.gates_passed]
     x, y, z = agent.position
     gx, gy, gz = gate.center.tolist()
     ox, oy, oz = opponent_gps
@@ -119,12 +119,13 @@ class RacingEnv:
 
     def load_state_dict(self, state: dict) -> None:
         # keys not read here, such as the "episode_steps" that older
-        # checkpoints hold, are ignored
+        # checkpoints hold, are ignored; so is their status's "target_gate"
         self.agent = DroneState(**state["agent"])
         self.opp = opponent.FollowerState(
             drone=DroneState(**state["opponent"]),
             waypoint_index=int(state["opponent_waypoint"]))
-        self.status = EpisodeStatus(**state["status"])
+        self.status = EpisodeStatus(**{
+            k: v for k, v in state["status"].items() if k != "target_gate"})
         self.opponent_times = np.array(state["opponent_times"])
 
     def observe(self) -> np.ndarray:
@@ -143,7 +144,7 @@ class RacingEnv:
         x, y, z = nxt.position
         dist = [norm3(x - cx, y - cy, z - cz)
                 for cx, cy, cz in self._gate_centers]
-        target = self.status.target_gate
+        target = self.status.gates_passed
         passed = False
         if dist[target] < self._pass_reach[target]:
             passed = segment_gate_crossing(
@@ -161,6 +162,8 @@ class RacingEnv:
         """Returns (raw_reward, done); `status` holds the episode's record.
         Call observe() for the next observation while the episode is
         alive."""
+        if self.status.done != TERM_NONE:
+            raise ValueError("cannot step a finished episode")
         prev = self.agent
         nxt = dynamics.step(prev, action, self.dyn_cfg.dt, self.dyn_cfg)
         self.opp = opponent.advance(self.plan, self.opp, self.dyn_cfg.dt)

@@ -9,17 +9,18 @@ from typing import Optional
 
 @dataclass
 class MetricsRecord:
+    """One log line; the fields that do not apply to its event are None."""
     event: str  # "episode" or "update"
     global_step: int
     episode: int
-    episodic_return: Optional[float]
-    gates_passed: Optional[int]
-    collisions: Optional[int]
-    duration: Optional[float]
-    policy_loss: Optional[float]
-    value_loss: Optional[float]
-    approx_kl: Optional[float]
-    clip_fraction: Optional[float]
+    episodic_return: Optional[float] = None
+    gates_passed: Optional[int] = None
+    collisions: Optional[int] = None
+    duration: Optional[float] = None
+    policy_loss: Optional[float] = None
+    value_loss: Optional[float] = None
+    approx_kl: Optional[float] = None
+    clip_fraction: Optional[float] = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

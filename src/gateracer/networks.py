@@ -207,17 +207,6 @@ class Adam:
             d *= lr / b1t
             p -= d
 
-    def state_dict(self) -> dict:
-        return {"t": self.t, "m": [a.copy() for a in self.m],
-                "v": [a.copy() for a in self.v]}
-
-    def load_state_dict(self, d: dict) -> None:
-        """Float64 moments, as older checkpoints hold them, are rounded to
-        float32 here, once."""
-        self.t = int(d["t"])
-        self.m = [np.array(a, dtype=np.float32) for a in d["m"]]
-        self.v = [np.array(a, dtype=np.float32) for a in d["v"]]
-
 
 def clip_grads_global(grads: list[np.ndarray], max_norm: float) -> float:
     """In-place global-norm clipping; returns the pre-clip norm."""

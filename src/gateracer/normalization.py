@@ -100,11 +100,11 @@ class RewardScaler:
         return scaled
 
     def state_dict(self) -> dict:
-        return {"gamma": self.gamma, "ret": self.ret, "count": self.count,
-                "mean": self.mean, "m2": self.m2}
+        return {"ret": self.ret, "count": self.count, "mean": self.mean,
+                "m2": self.m2}
 
     def load_state_dict(self, d: dict) -> None:
-        self.gamma = float(d["gamma"])
+        # gamma stays the constructor's; older checkpoints' "gamma" is unread
         self.ret = float(d["ret"])
         self.count = float(d["count"])
         self.mean = float(d["mean"])

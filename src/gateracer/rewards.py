@@ -48,10 +48,9 @@ class RewardConfig:
 
 @dataclass
 class EpisodeStatus:
-    target_gate: int
     gate_deadline: float
     collisions: int = 0
-    gates_passed: int = 0
+    gates_passed: int = 0  # also the target gate, while the episode is live
     done: str = TERM_NONE
     episode_return: float = 0.0
 
@@ -66,7 +65,6 @@ def init_status(track: Track, opponent_times, cfg: RewardConfig,
     if len(opponent_times) != track.n_gates:
         raise ValueError("opponent_times length must equal gate count")
     return EpisodeStatus(
-        target_gate=0,
         gate_deadline=t0 + cfg.timer_multiplier * float(opponent_times[0]),
     )
 
@@ -81,7 +79,7 @@ def check_termination(state: DroneState, status: EpisodeStatus,
                       cfg: RewardConfig, track: Track) -> str:
     if status.gates_passed >= track.n_gates:
         return TERM_ALL_GATES
-    target = track.gates[min(status.target_gate, track.n_gates - 1)]
+    target = track.gates[status.gates_passed]
     if _distance(state.position, target.center) > cfg.max_divergence:
         return TERM_TOO_FAR
     if status.collisions >= cfg.collision_limit:
@@ -100,7 +98,7 @@ def compute_step(prev: DroneState, next_state: DroneState,
     hit."""
     if status.done != TERM_NONE:
         raise ValueError("compute_step called on a finished episode")
-    target = track.gates[status.target_gate]
+    target = track.gates[status.gates_passed]
     d_prev = _distance(prev.position, target.center)
     d_next = _distance(next_state.position, target.center)
 
@@ -108,14 +106,12 @@ def compute_step(prev: DroneState, next_state: DroneState,
     if d_next < cfg.proximity_radius:
         reward += cfg.proximity_bonus
 
-    new = EpisodeStatus(target_gate=status.target_gate,
-                        gate_deadline=status.gate_deadline,
+    new = EpisodeStatus(gate_deadline=status.gate_deadline,
                         collisions=status.collisions,
                         gates_passed=status.gates_passed)
     if passed:
         reward += cfg.pass_reward
         new.gates_passed += 1
-        new.target_gate = min(new.gates_passed, track.n_gates - 1)
         if new.gates_passed < track.n_gates:
             times = np.asarray(opponent_times, dtype=np.float64)
             budget = cfg.timer_multiplier * float(

@@ -19,6 +19,8 @@ from .normalization import RewardScaler, RunningStats, normalize_observation
 from .ppo import RolloutBuffer, compute_gae, fill_values, ppo_update
 
 STREAM_NAMES = ("track", "spawn", "policy", "sensors", "update")
+# the update stats that each metrics record carries
+LOSS_KEYS = ("policy_loss", "value_loss", "approx_kl", "clip_fraction")
 
 
 def make_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -138,10 +140,7 @@ class Trainer:
             gates_passed=status.gates_passed,
             collisions=status.collisions,
             duration=self.env.agent.time,
-            policy_loss=stats.get("policy_loss"),
-            value_loss=stats.get("value_loss"),
-            approx_kl=stats.get("approx_kl"),
-            clip_fraction=stats.get("clip_fraction"),
+            **{key: stats.get(key) for key in LOSS_KEYS},
         ))
 
     def _emit_update(self, stats: dict) -> None:
@@ -149,14 +148,7 @@ class Trainer:
             event="update",
             global_step=self.global_step,
             episode=self.episode_count,
-            episodic_return=None,
-            gates_passed=None,
-            collisions=None,
-            duration=None,
-            policy_loss=stats["policy_loss"],
-            value_loss=stats["value_loss"],
-            approx_kl=stats["approx_kl"],
-            clip_fraction=stats["clip_fraction"],
+            **{key: stats[key] for key in LOSS_KEYS},
         ))
 
     # ------------------------------------------------------------------
@@ -195,10 +187,9 @@ class Trainer:
     # ------------------------------------------------------------------
     def _state_dict(self) -> dict:
         arrays, scalars = ckpt.policy_entries(self.params, self.obs_stats)
-        arrays.update({f"adam_m{i:02d}": m for i, m in enumerate(self.adam.m)})
-        arrays.update({f"adam_v{i:02d}": v for i, v in enumerate(self.adam.v)})
-        arrays["pending_obs"] = self._pending_obs
-        scalars.update(adam_t=self.adam.t,
+        adam_arrays, adam_scalars = ckpt.optimizer_entries(self.adam)
+        arrays.update(adam_arrays, pending_obs=self._pending_obs)
+        scalars.update(adam_scalars,
                        reward_scaler=self.reward_scaler.state_dict(),
                        metrics_bytes=os.path.getsize(self.metrics.path))
         return {
@@ -222,21 +213,7 @@ class Trainer:
 
     def _restore(self, state: dict) -> None:
         self.params, self.obs_stats = ckpt.load_policy(state, frozen=False)
-        flat = self.params.flat_list()
-        self.adam = Adam([p.shape for p in flat])
-        arrays = state["arrays"]
-        moments = {"t": state["scalars"]["adam_t"], "m": [], "v": []}
-        for key in ("m", "v"):
-            for i, p in enumerate(flat):
-                name = f"adam_{key}{i:02d}"
-                a = arrays.get(name)
-                if a is None or a.shape != p.shape:
-                    found = "missing" if a is None else f"of shape {a.shape}"
-                    raise ckpt.CheckpointError(
-                        f"checkpoint array '{name}' is {found}; its "
-                        f"parameter is of shape {p.shape}")
-                moments[key].append(a)
-        self.adam.load_state_dict(moments)
+        self.adam = ckpt.load_optimizer(state, self.params)
         self.reward_scaler.load_state_dict(state["scalars"]["reward_scaler"])
         for name, gen in self.rngs.items():
             gen.bit_generator.state = state["rng"][name]
@@ -247,4 +224,4 @@ class Trainer:
         self._last_update_stats = c.get("last_update_stats")
         self.env = self._make_env(track_from_dict(state["env"]["track"]))
         self.env.load_state_dict(state["env"])
-        self._pending_obs = arrays["pending_obs"]
+        self._pending_obs = state["arrays"]["pending_obs"]

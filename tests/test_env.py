@@ -211,6 +211,22 @@ def test_state_dict_roundtrip_continues_bitwise():
     assert env.agent.time == other.agent.time
 
 
+def test_step_after_done_raises_and_changes_nothing():
+    """Stepping a finished episode raises before the opponent or the
+    agent moves."""
+    env = make_env(time_limit=0.2)
+    env.reset()
+    done = False
+    while not done:
+        _, done = env.step(np.array([0.5, 0.0, 0.0]))
+    assert env.status.done == TERM_TIME_LIMIT
+    agent, opp, status = env.agent, copy.deepcopy(env.opp), env.status
+    with pytest.raises(ValueError):
+        env.step(np.array([0.5, 0.0, 0.0]))
+    assert env.agent is agent and env.status is status
+    assert env.opp == opp
+
+
 def _assert_float_triples(*vectors):
     for v in vectors:
         assert type(v) is tuple and len(v) == 3

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gateracer.checkpoint import load_optimizer, optimizer_entries
 from gateracer.networks import (ACTION_DIM, Adam, LOG_STD_MAX, LOG_STD_MIN,
                                 backward_batch, clip_grads_global, forward,
                                 forward_batch, gaussian_entropy,
@@ -206,17 +207,22 @@ def test_float32_adam_tracks_a_float64_reference():
 
 
 def test_adam_state_roundtrip():
+    """An optimizer rebuilt by load_optimizer from its checkpoint entries
+    owns copies of the moments and takes the same next step."""
     rng = np.random.default_rng(0)
-    p = rng.standard_normal(5)
-    a = Adam([p.shape])
-    a.step([p], [rng.standard_normal(5)], 0.1)
-    b = Adam([p.shape])
-    b.load_state_dict(a.state_dict())
-    p1, p2 = p.copy(), p.copy()
-    g = rng.standard_normal(5)
-    a.step([p1], [g], 0.1)
-    b.step([p2], [g], 0.1)
-    np.testing.assert_array_equal(p1, p2)
+    params = init_policy(rng, 4)
+    flat = params.flat_list()
+    a = Adam([p.shape for p in flat])
+    a.step(flat, [rng.standard_normal(p.shape) for p in flat], 0.1)
+    arrays, scalars = optimizer_entries(a)
+    b = load_optimizer({"arrays": arrays, "scalars": scalars}, params)
+    assert b.t == a.t == 1
+    p1, p2 = [p.copy() for p in flat], [p.copy() for p in flat]
+    g = [rng.standard_normal(p.shape) for p in flat]
+    a.step(p1, g, 0.1)
+    b.step(p2, g, 0.1)
+    for x, y in zip(p1, p2):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_clip_grads_global():

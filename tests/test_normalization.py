@@ -148,7 +148,13 @@ def test_reward_scaler_state_roundtrip():
     a = RewardScaler(0.99)
     for i in range(10):
         a.scale(float(i), i == 5)
-    b = RewardScaler(0.5)
+    b = RewardScaler(0.99)
     b.load_state_dict(a.state_dict())
     assert a.scale(3.0, False) == b.scale(3.0, False)
     assert a.state_dict() == b.state_dict()
+    # the discount is the constructor's: a state holds none, and the
+    # "gamma" of older checkpoints is not read
+    assert "gamma" not in a.state_dict()
+    c = RewardScaler(0.5)
+    c.load_state_dict({**a.state_dict(), "gamma": 0.99})
+    assert c.gamma == 0.5

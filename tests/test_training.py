@@ -282,8 +282,23 @@ def test_resume_without_config_uses_checkpoint_config(tmp_path):
     tr = Trainer(small_cfg(), seed=9, out_dir=tmp_path / "a")
     path = tr.train()
     tr2 = Trainer(None, seed=9, out_dir=tmp_path / "b", resume=path)
+    tr2.metrics.close()
     assert tr2.cfg.track.seed == 3
     assert tr2.global_step == 2048
+
+
+def test_resume_takes_gamma_from_the_config(tmp_path):
+    """The reward scaler discounts with the config's train.gamma, as GAE
+    does, also when a resume changes it: the checkpoint stores no gamma."""
+    path = _one_update_trainer(tmp_path / "first").checkpoint_path
+    saved = load_checkpoint(path)["scalars"]["reward_scaler"]
+    assert "gamma" not in saved
+    cfg = small_cfg()
+    cfg.train.gamma = 0.9
+    tr = Trainer(cfg, seed=0, out_dir=tmp_path / "b", resume=path)
+    tr.metrics.close()
+    assert tr.reward_scaler.gamma == 0.9
+    assert tr.reward_scaler.state_dict() == saved
 
 
 def test_resume_takes_the_base_track_from_the_checkpoint(tmp_path):
@@ -371,3 +386,23 @@ def test_checkpoint_without_metrics_length_resumes_as_before(tmp_path):
     tr = Trainer(_crash_cfg(), seed=4, out_dir=tmp_path, resume=str(path))
     tr.metrics.close()
     assert (tmp_path / "metrics.jsonl").read_bytes() == before
+
+
+def test_checkpoint_with_target_gate_and_gamma_resumes_as_before(tmp_path):
+    """Checkpoints written when the env status held its target gate and
+    the reward scaler its gamma still resume, and the run then matches an
+    uninterrupted one byte for byte."""
+    Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "full").train()
+    path = _crash_after_seven_updates(tmp_path / "crash")
+    state = load_checkpoint(path)
+    status = state["env"]["status"]
+    assert "target_gate" not in status
+    n_gates = _crash_cfg().track.n_gates
+    status["target_gate"] = min(status["gates_passed"], n_gates - 1)
+    state["scalars"]["reward_scaler"]["gamma"] = _crash_cfg().train.gamma
+    save_checkpoint(path, state)
+    Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "crash",
+            resume=str(path)).train()
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert ((tmp_path / "crash" / name).read_bytes()
+                == (tmp_path / "full" / name).read_bytes()), name
