@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class Trainer:
         self.episode_count = 0
         self.update_count = 0
         self._last_update_stats: dict | None = None
+        # the interval save's write in flight, and what it raised
+        self._writer: threading.Thread | None = None
+        self._writer_error: Exception | None = None
         self.checkpoint_path = os.path.join(self.out_dir, "checkpoint.bin")
         # a resumed run keeps the track it saved, whatever its file holds now
         self.base_track = (resolve_track(run_cfg) if state is None
@@ -154,7 +158,8 @@ class Trainer:
     # ------------------------------------------------------------------
     def iterate(self) -> None:
         """One training iteration: rollout, GAE, PPO update, the update
-        record and the periodic checkpoint."""
+        record and the periodic checkpoint, which is written behind the
+        next iteration's rollout; call `close()` when done iterating."""
         cfg = self.cfg.train
         buf = self.collect_rollout()
         compute_gae(buf, buf.bootstrap_value, cfg.gamma, cfg.gae_lambda)
@@ -169,20 +174,31 @@ class Trainer:
         self._last_update_stats = stats
         self._emit_update(stats)
         if self.update_count % self.cfg.harness.checkpoint_interval == 0:
-            self.save(self.checkpoint_path)
+            self._save_behind(self.checkpoint_path)
 
     def train(self) -> str:
         """Iterate until the step budget; returns the final checkpoint
         path. The final save is skipped when the last iteration has just
-        written the same state there."""
+        written the same state there. Ends with `close()`, also when an
+        iteration raises."""
         start = self.update_count
-        while self.global_step < self.cfg.train.total_steps:
-            self.iterate()
-        if (self.update_count == start or self.update_count
-                % self.cfg.harness.checkpoint_interval):
-            self.save(self.checkpoint_path)
-        self.metrics.close()
+        try:
+            while self.global_step < self.cfg.train.total_steps:
+                self.iterate()
+            if (self.update_count == start or self.update_count
+                    % self.cfg.harness.checkpoint_interval):
+                self.save(self.checkpoint_path)
+        finally:
+            self.close()
         return self.checkpoint_path
+
+    def close(self) -> None:
+        """Waits for the checkpoint write in flight, re-raising its error,
+        and closes the metrics log."""
+        try:
+            self._join_writer()
+        finally:
+            self.metrics.close()
 
     # ------------------------------------------------------------------
     def _state_dict(self) -> dict:
@@ -208,8 +224,37 @@ class Trainer:
         }
 
     def save(self, path) -> str:
+        """Writes the checkpoint now, after the write in flight."""
+        self._join_writer()
         ckpt.save_checkpoint(path, self._state_dict())
         return path
+
+    def _save_behind(self, path) -> None:
+        """Snapshots the state here and writes it on a thread of its own,
+        after the write in flight. The update changes the parameters, the
+        Adam moments and the observation statistics in place, so the
+        snapshot copies every array."""
+        self._join_writer()
+        state = self._state_dict()
+        state["arrays"] = {name: a.copy() for name, a in state["arrays"].items()}
+
+        def write():
+            try:
+                ckpt.save_checkpoint(path, state)
+            except Exception as exc:
+                self._writer_error = exc
+
+        self._writer = threading.Thread(target=write, name="checkpoint-writer")
+        self._writer.start()
+
+    def _join_writer(self) -> None:
+        """Waits for the write in flight, if any; re-raises its error."""
+        if self._writer is not None:
+            self._writer.join()
+            self._writer = None
+        error, self._writer_error = self._writer_error, None
+        if error is not None:
+            raise error
 
     def _restore(self, state: dict) -> None:
         self.params, self.obs_stats = ckpt.load_policy(state, frozen=False)

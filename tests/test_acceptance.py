@@ -87,7 +87,7 @@ def trained_policy(tmp_path_factory):
             if streak >= 2:
                 break
     elapsed = time.perf_counter() - t0
-    tr.metrics.close()
+    tr.close()
     return {"state": tr._state_dict(),
             "metrics_path": out / "metrics.jsonl",
             "steps": tr.global_step,

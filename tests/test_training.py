@@ -1,11 +1,15 @@
 import json
+import math
+import threading
 
 import numpy as np
 import pytest
 
+from gateracer import checkpoint
 from gateracer.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gateracer.cli import main as cli_main
 from gateracer.config import RunConfig, TrackSettings
+from gateracer.env import RacingEnv
 from gateracer.geometry import default_track, save_track, track_to_dict
 from gateracer.networks import forward_batch
 from gateracer.training import STREAM_NAMES, Trainer, make_streams
@@ -71,7 +75,7 @@ def _one_update_trainer(out_dir, resume=None):
     cfg.train.epochs_per_update = 1
     tr = Trainer(cfg, seed=0, out_dir=out_dir, resume=resume)
     tr.iterate()
-    tr.metrics.close()
+    tr.close()
     return tr
 
 
@@ -252,8 +256,6 @@ def test_train_saves_each_checkpoint_once(tmp_path, monkeypatch, interval,
                                           saved_at):
     """The final save is skipped when the last update has just written
     the checkpoint; a run with nothing left to train still writes one."""
-    from gateracer import checkpoint
-
     counts = []
 
     def spy(path, state):
@@ -322,7 +324,7 @@ def test_resume_takes_the_base_track_from_the_checkpoint(tmp_path):
     track_file.unlink()
     deleted = Trainer(None, seed=0, out_dir=tmp_path / "c", resume=path)
     deleted.iterate()
-    deleted.metrics.close()
+    deleted.close()
     assert load_checkpoint(deleted.checkpoint_path)["track"] == saved
 
 
@@ -359,7 +361,7 @@ def _crash_after_seven_updates(out_dir):
     tr = Trainer(_crash_cfg(), seed=4, out_dir=out_dir)
     for _ in range(7):
         tr.iterate()
-    tr.metrics.close()
+    tr.close()
     path = out_dir / "checkpoint.bin"
     assert load_checkpoint(path)["counters"]["update_count"] == 5
     return path
@@ -406,3 +408,126 @@ def test_checkpoint_with_target_gate_and_gamma_resumes_as_before(tmp_path):
     for name in ("metrics.jsonl", "checkpoint.bin"):
         assert ((tmp_path / "crash" / name).read_bytes()
                 == (tmp_path / "full" / name).read_bytes()), name
+
+
+# ----------------------------------------------------------------------
+# interval checkpoints written behind the next rollout
+
+
+def _writer_cfg(updates):
+    cfg = small_cfg(total_steps=updates * 256)
+    cfg.train.rollout_steps = 256
+    cfg.train.epochs_per_update = 1
+    return cfg
+
+
+def test_an_interval_write_holds_the_state_of_its_own_update(
+        tmp_path, monkeypatch):
+    """The update after an interval save changes the parameters, the
+    Adam moments and the observation statistics in place while that save
+    is still being written; the file still holds the saved update's state,
+    byte for byte."""
+    release = threading.Event()
+    saved_at = []
+
+    def blocked_save(path, state):
+        # the first write waits for the next update; later ones are dropped
+        saved_at.append(state["counters"]["update_count"])
+        if len(saved_at) == 1:
+            assert release.wait(timeout=60)
+            save_checkpoint(path, state)
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", blocked_save)
+    tr = Trainer(_writer_cfg(2), seed=0, out_dir=tmp_path / "run")
+    tr.iterate()
+    save_checkpoint(tmp_path / "sync.bin", tr._state_dict())
+
+    emit = tr._emit_update
+
+    def emit_then_release(stats):
+        emit(stats)
+        release.set()
+
+    tr._emit_update = emit_then_release
+    tr.iterate()
+    tr.close()
+    assert saved_at == [1, 2]
+    assert ((tmp_path / "run" / "checkpoint.bin").read_bytes()
+            == (tmp_path / "sync.bin").read_bytes())
+    state = load_checkpoint(tr.checkpoint_path)
+    assert state["counters"]["update_count"] == 1
+    assert not np.array_equal(state["arrays"]["param00"], tr.params.actor[0])
+
+
+def _fail_interval_saves(monkeypatch):
+    def failing_save(path, state):
+        raise OSError("no space left on the checkpoint device")
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", failing_save)
+
+
+@pytest.mark.parametrize("joined_by", ["next_save", "close", "train"])
+def test_a_failed_interval_write_is_raised_where_it_is_joined(
+        tmp_path, monkeypatch, joined_by):
+    """The writer's error is raised by whatever waits for it next: the
+    next interval save, close() or train(). No thread is left running and
+    the metrics log is closed."""
+    threads = set(threading.enumerate())
+    _fail_interval_saves(monkeypatch)
+    tr = Trainer(_writer_cfg(2), seed=0, out_dir=tmp_path)
+    with pytest.raises(OSError, match="no space left"):
+        if joined_by == "train":
+            tr.train()
+        else:
+            tr.iterate()
+            if joined_by == "close":
+                tr.close()
+            else:
+                tr.iterate()
+    if joined_by == "next_save":
+        # raised once: the failed save started no write of its own
+        assert tr.update_count == 2
+        tr.close()
+    assert tr.metrics._fh.closed
+    assert set(threading.enumerate()) <= threads
+
+
+def test_a_failed_interval_write_is_a_cli_runtime_error(
+        tmp_path, monkeypatch, capsys):
+    """`gateracer train` exits with code 2 when an interval write fails,
+    as when a synchronous save fails."""
+    threads = set(threading.enumerate())
+    _fail_interval_saves(monkeypatch)
+    config = tmp_path / "run.yaml"
+    config.write_text("track: {n_gates: 3}\n"
+                      "train: {total_steps: 512, rollout_steps: 256, "
+                      "epochs_per_update: 1}\n"
+                      "harness: {checkpoint_interval: 1}\n")
+    code = cli_main(["train", "--config", str(config), "--out",
+                     str(tmp_path / "out")])
+    assert code == 2
+    assert "no space left" in capsys.readouterr().err
+    assert set(threading.enumerate()) <= threads
+
+
+def test_train_closes_the_log_and_joins_the_writer_when_it_raises(
+        tmp_path, monkeypatch):
+    """A non-finite reward in the rollout after an interval save stops
+    train() with its error; the save in flight still lands and the metrics
+    log is closed."""
+    threads = set(threading.enumerate())
+    step = RacingEnv.step
+    steps = []
+
+    def nan_after_one_rollout(env, action):
+        reward, done = step(env, action)
+        steps.append(1)
+        return (math.nan if len(steps) > 300 else reward), done
+
+    monkeypatch.setattr(RacingEnv, "step", nan_after_one_rollout)
+    tr = Trainer(_writer_cfg(4), seed=0, out_dir=tmp_path)
+    with pytest.raises(RuntimeError, match="non-finite reward"):
+        tr.train()
+    assert tr.metrics._fh.closed
+    assert set(threading.enumerate()) <= threads
+    assert load_checkpoint(tr.checkpoint_path)["counters"]["update_count"] == 1
