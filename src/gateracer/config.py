@@ -13,6 +13,7 @@ import yaml
 
 from .dynamics import DynamicsConfig
 from .geometry import Track, default_track, load_track
+from .opponent import DEFAULT_APPROACH_OFFSET, DEFAULT_CRUISE_SPEED
 from .ppo import TrainConfig
 from .rewards import RewardConfig
 
@@ -23,8 +24,8 @@ class ConfigError(Exception):
 
 @dataclass
 class OpponentSettings:
-    cruise_speed: float = 4.0
-    approach_offset: float = 1.0
+    cruise_speed: float = DEFAULT_CRUISE_SPEED
+    approach_offset: float = DEFAULT_APPROACH_OFFSET
 
 
 # a procedural track takes about 16 us and 0.4 KB per gate to build, so a
@@ -59,8 +60,12 @@ class HarnessConfig:
     metrics_queue_size: int = 4096
 
     def __post_init__(self):
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be at least 1")
+        for name in ("checkpoint_interval", "metrics_queue_size"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        # a NaN radius would never register a collision
+        if not 0 < self.drone_radius < math.inf:
+            raise ValueError("drone_radius must be positive and finite")
 
 
 @dataclass

@@ -58,7 +58,7 @@ class DynamicsConfig:
     gps_noise_std: float = 0.0
 
     def __post_init__(self):
-        for name in ("tau", "dt"):
+        for name in ("tau", "dt", "v_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         imu = self.imu_noise_std
@@ -77,8 +77,8 @@ class ImuReading:
     attitude: tuple
 
 
-def step(state: DroneState, cmd, dt: float, cfg: DynamicsConfig) -> DroneState:
-    """Advance one control step.
+def step(state: DroneState, cmd, cfg: DynamicsConfig) -> DroneState:
+    """Advance one control step of length `cfg.dt`.
 
     The commanded velocity delta (clipped to [-1, 1] per axis, the one
     place an action is bounded, then scaled by command_scale) defines a
@@ -86,8 +86,7 @@ def step(state: DroneState, cmd, dt: float, cfg: DynamicsConfig) -> DroneState:
     constant tau, position integrates the trapezoid, yaw slews toward the
     velocity heading, roll/pitch are a banked-turn proxy.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = cfg.dt
     c0, c1, c2 = np.asarray(cmd, dtype=np.float64).tolist()
     px, py, pz = state.position
     vx, vy, vz = state.velocity

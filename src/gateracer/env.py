@@ -9,11 +9,11 @@ import math
 import numpy as np
 
 from . import dynamics, opponent, rewards
-from .dynamics import DroneState, DynamicsConfig, ImuReading, _wrap_angle
-from .geometry import (DEFAULT_DRONE_RADIUS, Track, norm3,
-                       segment_frame_collision, segment_gate_crossing,
-                       sample_spawn, track_to_dict)
-from .rewards import EpisodeStatus, RewardConfig, TERM_NONE
+from .config import RunConfig
+from .dynamics import DroneState, ImuReading, _wrap_angle
+from .geometry import (Track, norm3, segment_frame_collision,
+                       segment_gate_crossing, sample_spawn, track_to_dict)
+from .rewards import EpisodeStatus, TERM_NONE
 
 OBS_DIM = 21
 TIMER_OBS_SCALE = 0.1
@@ -48,38 +48,35 @@ def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
 class RacingEnv:
     """Single agent racing the waypoint-following opponent on one track.
 
-    Owns per-episode state and the spawn / sensor random streams. The
-    caller drives it with action vectors, which `dynamics.step` clamps to
-    [-1, 1], and reads the episode's record from `status`.
+    Owns per-episode state and the spawn / sensor random streams, and
+    takes its dynamics, reward, opponent and drone-radius settings from
+    the run config. The caller drives it with action vectors, which
+    `dynamics.step` clamps to [-1, 1], and reads the episode's record
+    from `status`.
     """
 
-    def __init__(self, track: Track, dyn_cfg: DynamicsConfig,
-                 reward_cfg: RewardConfig,
-                 opponent_cfg: "OpponentSettings | None" = None,
+    def __init__(self, track: Track, cfg: RunConfig,
                  spawn_rng: np.random.Generator | None = None,
-                 sensor_rng: np.random.Generator | None = None,
-                 drone_radius: float = DEFAULT_DRONE_RADIUS):
-        from .config import OpponentSettings
-
+                 sensor_rng: np.random.Generator | None = None):
         self.track = track
-        self.dyn_cfg = dyn_cfg
-        self.reward_cfg = reward_cfg
-        self.opp_cfg = opponent_cfg or OpponentSettings()
+        self.dyn_cfg = cfg.dynamics
+        self.reward_cfg = cfg.reward
+        self.opp_cfg = cfg.opponent
         self.spawn_rng = spawn_rng or np.random.default_rng(0)
         self.sensor_rng = sensor_rng or np.random.default_rng(1)
-        self.drone_radius = drone_radius
+        self.drone_radius = cfg.harness.drone_radius
         # distance triggers, one per gate: each must cover every point
         # reachable in one step from anywhere its predicate can fire, or
         # real events get dropped. For a pass that is the opening; for a
         # collision the farthest corner of the frame band's box.
-        travel_bound = dyn_cfg.v_max * dyn_cfg.dt
+        travel_bound = self.dyn_cfg.v_max * self.dyn_cfg.dt
         self._gate_centers = [g.center.tolist() for g in track.gates]
         self._pass_reach = [
             math.hypot(g.half_width, g.half_height)
-            + reward_cfg.pass_check_radius + travel_bound
+            + self.reward_cfg.pass_check_radius + travel_bound
             for g in track.gates]
         self._frame_reach = [
-            math.hypot(g.frame_thickness / 2 + drone_radius,
+            math.hypot(g.frame_thickness / 2 + self.drone_radius,
                        g.half_width + g.frame_thickness,
                        g.half_height + g.frame_thickness) + travel_bound
             for g in track.gates]
@@ -165,7 +162,7 @@ class RacingEnv:
         if self.status.done != TERM_NONE:
             raise ValueError("cannot step a finished episode")
         prev = self.agent
-        nxt = dynamics.step(prev, action, self.dyn_cfg.dt, self.dyn_cfg)
+        nxt = dynamics.step(prev, action, self.dyn_cfg)
         self.opp = opponent.advance(self.plan, self.opp, self.dyn_cfg.dt)
         passed, collided = self.detect_events(prev, nxt)
         reward, self.status = rewards.compute_step(

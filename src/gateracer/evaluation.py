@@ -39,10 +39,7 @@ def _setup(ckpt_state: dict, episodes: int, track: Track | None, seed: int):
     for child in np.random.SeedSequence(seed).spawn(episodes):
         spawn_rng, sensor_rng, action_rng = (
             np.random.default_rng(c) for c in child.spawn(3))
-        envs.append(RacingEnv(track, cfg.dynamics, cfg.reward,
-                              opponent_cfg=cfg.opponent, spawn_rng=spawn_rng,
-                              sensor_rng=sensor_rng,
-                              drone_radius=cfg.harness.drone_radius))
+        envs.append(RacingEnv(track, cfg, spawn_rng, sensor_rng))
         action_rngs.append(action_rng)
     return params, stats, envs, action_rngs
 

@@ -12,7 +12,6 @@ import yaml
 DEFAULT_HALF_WIDTH = 1.5
 DEFAULT_HALF_HEIGHT = 1.5
 DEFAULT_FRAME_THICKNESS = 0.25
-DEFAULT_DRONE_RADIUS = 0.3
 DEFAULT_SPAWN_BAND = (2.0, 3.5)
 
 

@@ -42,6 +42,8 @@ class RewardConfig:
             raise ValueError("penalties must be <= 0")
         if self.timer_multiplier < 1:
             raise ValueError("timer_multiplier must be >= 1")
+        if not self.collision_limit >= 1:
+            raise ValueError("collision_limit must be at least 1")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be null or positive")
 

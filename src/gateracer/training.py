@@ -93,11 +93,8 @@ class Trainer:
         self.metrics = MetricsLogger(metrics_path, telemetry=telemetry)
 
     def _make_env(self, track: Track) -> RacingEnv:
-        return RacingEnv(track, self.cfg.dynamics, self.cfg.reward,
-                         opponent_cfg=self.cfg.opponent,
-                         spawn_rng=self.rngs["spawn"],
-                         sensor_rng=self.rngs["sensors"],
-                         drone_radius=self.cfg.harness.drone_radius)
+        return RacingEnv(track, self.cfg, self.rngs["spawn"],
+                         self.rngs["sensors"])
 
     def _episode_reset(self) -> np.ndarray:
         if self.cfg.track.randomize_per_episode:

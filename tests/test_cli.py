@@ -144,14 +144,21 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
     ("train", "value_coef", -1),
     ("track", "n_gates", MAX_GATES + 1),
     ("track", "n_gates", 100_000_000),
+    ("harness", "drone_radius", 0),
+    ("harness", "drone_radius", float("nan")),
+    ("harness", "metrics_queue_size", 0),
+    ("reward", "collision_limit", 0),
+    ("dynamics", "v_max", -1),
 ])
 def test_non_positive_config_value_is_exit_1(tmp_path, capsys, block, key,
                                              value):
+    """Both commands that read a config refuse it when it is loaded."""
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump({block: {key: value}}))
-    assert main(["train", "--config", str(path),
-                 "--out", str(tmp_path / "o")]) == 1
-    assert f"error: invalid '{block}' block: {key}" in capsys.readouterr().err
+    for argv in (["inspect"], ["train", "--out", str(tmp_path / "o")]):
+        assert main([*argv, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: invalid '{block}' block: {key}" in err
 
 
 @pytest.fixture(scope="module")

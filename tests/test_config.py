@@ -79,6 +79,10 @@ _BAD_ENTRIES = [
     ("reward", "time_limit", -1.0),
     ("train", "minibatch_size", "many"),
     ("dynamics", "imu_noise_std", [0.1, None]),
+    ("harness", "drone_radius", float("nan")),
+    ("harness", "metrics_queue_size", 0),
+    ("reward", "collision_limit", 0),
+    ("dynamics", "v_max", -1.0),
     ("no_such_block", "key", 1),
 ]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ def make_state(pos=(0, 0, 0), vel=(0, 0, 0), yaw=0.0, t=0.0):
 
 def test_zero_command_is_fixed_point():
     cfg = DynamicsConfig()
-    s = step(make_state(), np.zeros(3), cfg.dt, cfg)
+    s = step(make_state(), np.zeros(3), cfg)
     np.testing.assert_array_equal(s.position, np.zeros(3))
     np.testing.assert_array_equal(s.velocity, np.zeros(3))
     assert s.time == cfg.dt
@@ -27,19 +28,20 @@ def test_zero_command_is_fixed_point():
 
 def test_zero_lag_limit():
     cfg = DynamicsConfig(tau=1e-9, command_scale=2.0)
-    s1 = step(make_state(), np.array([1.0, 0.0, 0.0]), cfg.dt, cfg)
+    s1 = step(make_state(), np.array([1.0, 0.0, 0.0]), cfg)
     np.testing.assert_allclose(s1.velocity, [2.0, 0.0, 0.0], atol=1e-12)
     # velocity holds once reached: the next step advances by v*dt exactly
-    s2 = step(s1, np.zeros(3), cfg.dt, cfg)
+    s2 = step(s1, np.zeros(3), cfg)
     np.testing.assert_allclose(np.asarray(s2.position) - s1.position,
                                [2.0 * cfg.dt, 0.0, 0.0], atol=1e-12)
 
 
 def _simulate(cfg, dt, horizon, dv):
+    cfg = dataclasses.replace(cfg, dt=dt)
     s = make_state()
     n = int(round(horizon / dt))
     for _ in range(n):
-        s = step(s, dv, dt, cfg)
+        s = step(s, dv, cfg)
     return s
 
 
@@ -59,9 +61,8 @@ def test_first_order_convergence_to_lag_ode():
 
 
 def test_dt_must_be_positive():
-    cfg = DynamicsConfig()
-    with pytest.raises(ValueError):
-        step(make_state(), np.zeros(3), 0.0, cfg)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        DynamicsConfig(dt=0.0)
 
 
 def test_velocity_never_exceeds_v_max():
@@ -70,7 +71,7 @@ def test_velocity_never_exceeds_v_max():
     s = make_state()
     for _ in range(500):
         dv = rng.choice([-1.0, 1.0], size=3) * rng.uniform(0.5, 2.0, 3)
-        s = step(s, dv, cfg.dt, cfg)
+        s = step(s, dv, cfg)
         assert np.linalg.norm(s.velocity) <= cfg.v_max + 1e-12
         assert np.all(np.isfinite(s.position))
 
@@ -79,8 +80,8 @@ def test_step_deterministic():
     cfg = DynamicsConfig()
     s0 = make_state(vel=(3, -1, 0.5))
     dv = np.array([0.3, -0.7, 0.1])
-    a = step(s0, dv, cfg.dt, cfg)
-    b = step(s0, dv, cfg.dt, cfg)
+    a = step(s0, dv, cfg)
+    b = step(s0, dv, cfg)
     np.testing.assert_array_equal(a.position, b.position)
     np.testing.assert_array_equal(a.velocity, b.velocity)
     np.testing.assert_array_equal(a.attitude, b.attitude)
@@ -91,7 +92,7 @@ def test_coasting_speed_non_increasing():
     s = make_state(vel=(4.0, 3.0, -1.0))
     speed = np.linalg.norm(s.velocity)
     for _ in range(200):
-        s = step(s, np.zeros(3), cfg.dt, cfg)
+        s = step(s, np.zeros(3), cfg)
         new_speed = np.linalg.norm(s.velocity)
         assert new_speed <= speed + 1e-12
         speed = new_speed
@@ -175,14 +176,14 @@ def test_step_keeps_its_limits(position, direction, speed_frac, roll_pitch,
                                as_array, dt):
     """Any state inside the limits, any command (out of [-1, 1] too,
     as a list or an array): the next state is inside them again."""
-    cfg = DynamicsConfig()
+    cfg = DynamicsConfig(dt=dt)
     length = norm3(*direction)
     scale = cfg.v_max * speed_frac / length if length > 0 else 0.0
     s = DroneState(position=position,
                    velocity=[c * scale for c in direction],
                    attitude=[*roll_pitch, yaw],
                    angular_velocity=angular_velocity, time=time)
-    nxt = step(s, np.array(command) if as_array else command, dt, cfg)
+    nxt = step(s, np.array(command) if as_array else command, cfg)
 
     assert norm3(*nxt.velocity) <= cfg.v_max * (1 + 1e-12)
     roll, pitch, new_yaw = nxt.attitude
@@ -203,4 +204,4 @@ def test_step_clamps_the_command(velocity, yaw, command, as_array):
     s = make_state(pos=(1.0, -2.0, 3.0), vel=velocity, yaw=yaw, t=0.5)
     clipped = np.clip(command, -1.0, 1.0)
     cmd = np.array(command) if as_array else command
-    assert step(s, cmd, cfg.dt, cfg) == step(s, clipped, cfg.dt, cfg)
+    assert step(s, cmd, cfg) == step(s, clipped, cfg)

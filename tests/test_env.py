@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gateracer.config import RunConfig
 from gateracer.dynamics import DroneState, DynamicsConfig
 from gateracer.env import (OBS_DIM, RacingEnv, TIMER_OBS_SCALE,
                            build_observation)
@@ -15,7 +16,7 @@ from gateracer.rewards import RewardConfig, TERM_TIME_LIMIT
 
 def make_env(track_seed=1, n_gates=3, **reward_kw):
     track = default_track(track_seed, n_gates=n_gates)
-    return RacingEnv(track, DynamicsConfig(), RewardConfig(**reward_kw),
+    return RacingEnv(track, RunConfig(reward=RewardConfig(**reward_kw)),
                      spawn_rng=np.random.default_rng(0),
                      sensor_rng=np.random.default_rng(1))
 
@@ -119,8 +120,7 @@ def test_frame_corner_hit_registers_collision():
     """A step that clips the frame near a corner of the band, ending
     farther from the gate centre than max(hw, hh) + ft + r + v_max*dt,
     must still count."""
-    env = RacingEnv(Track([Gate(0, np.zeros(3), 0.0)]), DynamicsConfig(),
-                    RewardConfig())
+    env = RacingEnv(Track([Gate(0, np.zeros(3), 0.0)]), RunConfig())
     env.reset()
     gate = env.track.gates[0]
     d = np.array([-0.2, 1.0, 1.0])
@@ -183,9 +183,10 @@ def test_state_dict_roundtrip_continues_bitwise():
     """A mid-episode state passed through JSON, loaded into a fresh env on
     the same track with copies of the random streams, continues the
     episode bit for bit."""
-    dyn = DynamicsConfig(imu_noise_std=(0.05,) * 7, gps_noise_std=0.1)
+    cfg = RunConfig(dynamics=DynamicsConfig(imu_noise_std=(0.05,) * 7,
+                                            gps_noise_std=0.1))
     actions = np.random.default_rng(7).uniform(-0.3, 1.0, (400, 3))
-    env = RacingEnv(default_track(1, n_gates=3), dyn, RewardConfig(),
+    env = RacingEnv(default_track(1, n_gates=3), cfg,
                     spawn_rng=np.random.default_rng(0),
                     sensor_rng=np.random.default_rng(1))
     env.reset()
@@ -195,7 +196,7 @@ def test_state_dict_roundtrip_continues_bitwise():
         env.observe()
 
     state = json.loads(json.dumps(env.state_dict()))
-    other = RacingEnv(track_from_dict(state["track"]), dyn, RewardConfig(),
+    other = RacingEnv(track_from_dict(state["track"]), cfg,
                       spawn_rng=copy.deepcopy(env.spawn_rng),
                       sensor_rng=copy.deepcopy(env.sensor_rng))
     other.load_state_dict(state)
@@ -249,10 +250,9 @@ def test_every_drone_state_holds_float_triples():
     spawn = sample_spawn(env.track, 0, np.random.default_rng(3))
     _assert_float_state(spawn)
     _assert_float_state(spawn.copy())
-    nxt = dynamics.step(spawn, np.array([0.4, -0.2, 0.1]), 0.05,
-                        env.dyn_cfg)
+    nxt = dynamics.step(spawn, np.array([0.4, -0.2, 0.1]), env.dyn_cfg)
     _assert_float_state(nxt)
-    _assert_float_state(dynamics.step(nxt, [1, 0, 0], 0.05, env.dyn_cfg))
+    _assert_float_state(dynamics.step(nxt, [1, 0, 0], env.dyn_cfg))
     follower = opponent.advance(env.plan, env.opp, 0.05)
     _assert_float_state(follower.drone)
     _assert_float_state(DroneState(position=np.array([1.0, 2.0, 3.0]),

@@ -5,11 +5,13 @@ import pytest
 
 from gateracer import evaluation, networks
 from gateracer.checkpoint import load_checkpoint
-from gateracer.config import RunConfig, TrackSettings
+from gateracer.config import (HarnessConfig, OpponentSettings, RunConfig,
+                              TrackSettings)
 from gateracer.dynamics import DynamicsConfig
 from gateracer.env import RacingEnv
 from gateracer.evaluation import evaluate, race
 from gateracer.geometry import default_track, sample_spawn, track_from_dict
+from gateracer.rewards import RewardConfig
 from gateracer.training import Trainer
 
 
@@ -54,6 +56,45 @@ def test_evaluate_and_race_never_touch_the_critic(tmp_path):
         assert (evaluate(broken, episodes=2, deterministic=deterministic)
                 == evaluate(state, episodes=2, deterministic=deterministic))
     assert race(broken, episodes=1) == race(state, episodes=1)
+
+
+def test_evaluate_and_race_build_the_trainer_env(tmp_path, monkeypatch):
+    """The envs that evaluate and race build from a checkpoint carry the
+    training env's dynamics, reward, opponent and drone-radius settings,
+    none of them the defaults."""
+    cfg = RunConfig(
+        track=TrackSettings(seed=3, n_gates=3, spacing=(10.0, 12.0)),
+        dynamics=DynamicsConfig(tau=0.2, v_max=12.0, dt=0.04,
+                                gps_noise_std=0.1),
+        reward=RewardConfig(pass_reward=40.0, pass_check_radius=0.6,
+                            collision_limit=3),
+        opponent=OpponentSettings(cruise_speed=3.0, approach_offset=1.5),
+        harness=HarnessConfig(drone_radius=0.4))
+    tr = Trainer(cfg, seed=0, out_dir=tmp_path)
+    state = load_checkpoint(tr.save(tmp_path / "checkpoint.bin"))
+    tr.metrics.close()
+    trained = tr.env
+    defaults = RacingEnv(trained.track, RunConfig())
+    built = []
+    setup = evaluation._setup
+
+    def recording_setup(*args):
+        params, stats, envs, action_rngs = setup(*args)
+        built.extend(envs)
+        return params, stats, envs, action_rngs
+
+    monkeypatch.setattr(evaluation, "_setup", recording_setup)
+    evaluate(state, episodes=1)
+    race(state, episodes=1)
+    assert len(built) == 2
+    for attr in ("dyn_cfg", "reward_cfg", "opp_cfg", "drone_radius",
+                 "_pass_reach", "_frame_reach"):
+        assert getattr(trained, attr) != getattr(defaults, attr), attr
+        for env in built:
+            assert getattr(env, attr) == getattr(trained, attr), attr
+    for env in built:
+        np.testing.assert_array_equal(env.plan.waypoints,
+                                      trained.plan.waypoints)
 
 
 @pytest.mark.parametrize("heading,cruise_speed,outcome", [

@@ -114,7 +114,11 @@ def test_collision_penalty_and_count(track, opp_times):
     assert st2.collisions == 1
 
 
-def test_stuck_penalty_near_passed_gate(track, opp_times):
+@pytest.mark.parametrize("past,penalized", [(1.0, True), (6.0, False)])
+def test_stuck_penalty_near_passed_gate(track, opp_times, past, penalized):
+    """The lag penalty applies only within proximity_radius (3 m) of the
+    gate last passed: a drone held still 6 m past it, after its
+    deadline, pays nothing."""
     cfg = RewardConfig()
     st = init_status(track, opp_times, cfg)
     gate0 = track.gates[0]
@@ -122,16 +126,16 @@ def test_stuck_penalty_near_passed_gate(track, opp_times):
     _, st = compute_step(state_at(gate0.center - 0.1 * gate0.normal, 0.95),
                          state_at(gate0.center + 0.1 * gate0.normal, 1.0),
                          st, True, False, cfg, opp_times, track)
-    # hover 1 m past gate 0, after the new deadline has expired
+    # hover past gate 0, after the new deadline has expired
     late = st.gate_deadline + 5.0
-    spot = gate0.center + 1.0 * gate0.normal
+    spot = gate0.center + past * gate0.normal
     r, _ = compute_step(state_at(spot, late - 0.05), state_at(spot, late),
                         st, False, False, cfg, opp_times, track)
     d_prev = np.linalg.norm(spot - track.gates[1].center)
     base = 0.0  # zero movement: no progress term
     if d_prev < cfg.proximity_radius:
         base += cfg.proximity_bonus
-    assert r == pytest.approx(base + cfg.stuck_penalty)
+    assert r == pytest.approx(base + (cfg.stuck_penalty if penalized else 0.0))
 
 
 def test_no_stuck_penalty_before_first_pass(track, opp_times):
