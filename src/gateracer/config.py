@@ -27,6 +27,12 @@ class OpponentSettings:
     cruise_speed: float = DEFAULT_CRUISE_SPEED
     approach_offset: float = DEFAULT_APPROACH_OFFSET
 
+    def __post_init__(self):
+        if not 0 < self.cruise_speed < math.inf:
+            raise ValueError("cruise_speed must be positive and finite")
+        if not 0 <= self.approach_offset < math.inf:
+            raise ValueError("approach_offset must be non-negative and finite")
+
 
 # a procedural track takes about 16 us and 0.4 KB per gate to build, so a
 # mistyped count in the millions would stall a run before its first step

@@ -61,6 +61,8 @@ class DynamicsConfig:
         for name in ("tau", "dt", "v_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0 < self.command_scale < math.inf:
+            raise ValueError("command_scale must be positive and finite")
         imu = self.imu_noise_std
         if (not isinstance(imu, (tuple, list)) or len(imu) != 7
                 or not all(isinstance(x, (int, float)) and x >= 0 for x in imu)):
@@ -144,9 +146,8 @@ def _wrap_angle(a: float) -> float:
 
 def read_imu(state: DroneState, noise_std, rng: np.random.Generator) -> ImuReading:
     """True IMU values plus independent zero-mean Gaussian noise; the 7
-    channels are 3x linear velocity, 3x angular velocity, 1x attitude."""
-    if min(noise_std) < 0:
-        raise ValueError("noise_std must be non-negative")
+    channels are 3x linear velocity, 3x angular velocity, 1x attitude.
+    The stds are taken as given: `DynamicsConfig` rejects negative ones."""
     if not max(noise_std) > 0:
         return ImuReading(linear_velocity=state.velocity,
                           angular_velocity=state.angular_velocity,
@@ -161,9 +162,8 @@ def read_imu(state: DroneState, noise_std, rng: np.random.Generator) -> ImuReadi
 
 
 def read_gps(state: DroneState, noise_std: float, rng: np.random.Generator) -> tuple:
-    """Position plus isotropic Gaussian noise; exact when noise_std = 0."""
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
+    """Position plus isotropic Gaussian noise; exact when noise_std = 0.
+    The std is taken as given: `DynamicsConfig` rejects a negative one."""
     if not noise_std > 0:
         return state.position
     e = rng.standard_normal(3).tolist()

@@ -17,6 +17,9 @@ from .rewards import EpisodeStatus, TERM_NONE
 
 OBS_DIM = 21
 TIMER_OBS_SCALE = 0.1
+# metres by which a skipped gate is measured early: far above the
+# rounding of the summed path length and of one distance
+SKIP_MARGIN = 1e-3
 
 
 def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
@@ -29,7 +32,7 @@ def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
         raise ValueError("cannot observe a finished episode")
     gate = track.gates[status.gates_passed]
     x, y, z = agent.position
-    gx, gy, gz = gate.center.tolist()
+    gx, gy, gz = gate.center_xyz
     ox, oy, oz = opponent_gps
     yaw = agent.yaw
     c, s = math.cos(yaw), math.sin(yaw)
@@ -70,7 +73,6 @@ class RacingEnv:
         # real events get dropped. For a pass that is the opening; for a
         # collision the farthest corner of the frame band's box.
         travel_bound = self.dyn_cfg.v_max * self.dyn_cfg.dt
-        self._gate_centers = [g.center.tolist() for g in track.gates]
         self._pass_reach = [
             math.hypot(g.half_width, g.half_height)
             + self.reward_cfg.pass_check_radius + travel_bound
@@ -88,6 +90,25 @@ class RacingEnv:
         self.opp: opponent.FollowerState | None = None
         self.status: EpisodeStatus | None = None
         self.opponent_times: np.ndarray | None = None
+        self._forget_schedule()
+
+    def _forget_schedule(self) -> None:
+        """Drops the measuring schedule of `detect_events`, so that its
+        next call measures every gate. The schedule is derived state: it
+        is not part of `state_dict()`.
+
+        `_position` is where the last call ended, `_target` the target
+        gate after it and `_target_distance` that gate's distance from
+        `_position`. `_travel` is the path length flown since the
+        schedule began, and gate g need not be measured again before
+        `_travel` reaches `_due[g]` (+inf for the target, which is
+        measured on every step); `_next_due` is the least of them."""
+        self._position = None
+        self._target = -1
+        self._target_distance = math.nan
+        self._travel = 0.0
+        self._due = [-math.inf] * self.track.n_gates
+        self._next_due = -math.inf
 
     def reset(self, spawn_override: DroneState | None = None) -> np.ndarray:
         if spawn_override is not None:
@@ -99,6 +120,7 @@ class RacingEnv:
             self.plan, self.agent.position)
         self.status = rewards.init_status(
             self.track, self.opponent_times, self.reward_cfg, t0=self.agent.time)
+        self._forget_schedule()
         return self.observe()
 
     def state_dict(self) -> dict:
@@ -124,6 +146,7 @@ class RacingEnv:
         self.status = EpisodeStatus(**{
             k: v for k, v in state["status"].items() if k != "target_gate"})
         self.opponent_times = np.array(state["opponent_times"])
+        self._forget_schedule()
 
     def observe(self) -> np.ndarray:
         imu = dynamics.read_imu(self.agent, self.dyn_cfg.imu_noise_std,
@@ -134,26 +157,76 @@ class RacingEnv:
                                  self.status, self.track, imu, gps)
 
     def detect_events(self, prev: DroneState,
-                      nxt: DroneState) -> tuple[bool, bool]:
-        """(passed, collided) for one step: the gate-pass test is only
-        invoked near the target gate; frame collisions are checked, in
-        gate order, against every gate within reach."""
+                      nxt: DroneState) -> tuple[bool, bool, tuple]:
+        """(passed, collided, distances) for one step. The gate-pass test
+        is only invoked near the target gate; frame collisions are
+        checked, in gate order, against every gate within reach.
+        `distances` are the ones `rewards.compute_step` takes.
+
+        Each gate's distance from `nxt` is measured at most once, and
+        only where it can be within reach. The target gate is measured
+        on every step. Gate g, measured at distance d > reach, cannot be
+        within reach before the drone has flown d - reach more metres (by
+        the triangle inequality), so it is measured again once the path
+        length summed from each step's displacement comes within
+        `SKIP_MARGIN` of that. A step whose `prev` is not where the
+        last call ended, or whose target is not the one it left, starts
+        the schedule anew and measures every gate."""
+        px, py, pz = prev.position
         x, y, z = nxt.position
-        dist = [norm3(x - cx, y - cy, z - cz)
-                for cx, cy, cz in self._gate_centers]
+        gates = self.track.gates
         target = self.status.gates_passed
+        cx, cy, cz = gates[target].center_xyz
+        if prev.position != self._position or target != self._target:
+            self._forget_schedule()
+            self._due[target] = math.inf
+            d_prev = norm3(px - cx, py - cy, pz - cz)
+        else:
+            self._travel += norm3(x - px, y - py, z - pz)
+            d_prev = self._target_distance
+        travel = self._travel
+        due = self._due
+        frame_reach = self._frame_reach
+        d_next = norm3(x - cx, y - cy, z - cz)
         passed = False
-        if dist[target] < self._pass_reach[target]:
-            passed = segment_gate_crossing(
-                prev.position, nxt.position,
-                self.track.gates[target]) is not None
-        collided = any(
-            segment_frame_collision(prev.position, nxt.position, gate,
-                                    self.drone_radius)
-            for gate, d, reach in zip(self.track.gates, dist,
-                                      self._frame_reach)
-            if d <= reach)
-        return passed, collided
+        if d_next < self._pass_reach[target]:
+            passed = segment_gate_crossing(prev.position, nxt.position,
+                                           gates[target]) is not None
+        # the distance of the gate that is the target after this step
+        after, d_after = target, d_next
+        if passed:
+            after += 1
+            if after < len(gates):
+                cx, cy, cz = gates[after].center_xyz
+                d_after = norm3(x - cx, y - cy, z - cz)
+                due[after] = math.inf
+            due[target] = travel + d_next - frame_reach[target] - SKIP_MARGIN
+        collided = False
+        if passed or travel >= self._next_due:
+            for g, gate in enumerate(gates):
+                if g == target:
+                    d = d_next
+                elif g == after:
+                    d = d_after
+                elif due[g] <= travel:
+                    cx, cy, cz = gate.center_xyz
+                    d = norm3(x - cx, y - cy, z - cz)
+                    due[g] = travel + d - frame_reach[g] - SKIP_MARGIN
+                else:
+                    continue
+                # gates after a hit stay due and are measured next step
+                if d <= frame_reach[g] and segment_frame_collision(
+                        prev.position, nxt.position, gate, self.drone_radius):
+                    collided = True
+                    break
+            self._next_due = min(due)
+        elif d_next <= frame_reach[target]:
+            collided = segment_frame_collision(
+                prev.position, nxt.position, gates[target], self.drone_radius)
+        self._position = nxt.position
+        self._target = after
+        self._target_distance = d_after
+        return passed, collided, (d_prev, d_next, d_after)
 
     def step(self, action) -> tuple[float, bool]:
         """Returns (raw_reward, done); `status` holds the episode's record.
@@ -164,9 +237,9 @@ class RacingEnv:
         prev = self.agent
         nxt = dynamics.step(prev, action, self.dyn_cfg)
         self.opp = opponent.advance(self.plan, self.opp, self.dyn_cfg.dt)
-        passed, collided = self.detect_events(prev, nxt)
+        passed, collided, distances = self.detect_events(prev, nxt)
         reward, self.status = rewards.compute_step(
-            prev, nxt, self.status, passed, collided, self.reward_cfg,
+            distances, nxt, self.status, passed, collided, self.reward_cfg,
             self.opponent_times, self.track)
         self.agent = nxt
         return reward, self.status.done != TERM_NONE

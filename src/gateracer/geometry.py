@@ -24,7 +24,13 @@ def norm3(x: float, y: float, z: float) -> float:
 
 @dataclass
 class Gate:
-    """An upright rectangular gate; the normal is (cos yaw, sin yaw, 0)."""
+    """An upright rectangular gate; the normal is (cos yaw, sin yaw, 0).
+
+    `center` is a read-only float64 copy of what it is given. The per-step
+    predicates read `center_xyz`, its float triple, and `normal_xy`,
+    (cos yaw, sin yaw); both are rebuilt whenever `center` or `yaw` is
+    assigned, so they cannot go stale.
+    """
 
     id: int
     center: np.ndarray
@@ -33,18 +39,29 @@ class Gate:
     half_height: float = DEFAULT_HALF_HEIGHT
     frame_thickness: float = DEFAULT_FRAME_THICKNESS
 
+    def __setattr__(self, name, value):
+        if name == "center":
+            value = np.array(value, dtype=np.float64)
+            value.flags.writeable = False
+            object.__setattr__(self, "center_xyz", tuple(value.tolist()))
+        elif name == "yaw":
+            object.__setattr__(self, "normal_xy",
+                               (math.cos(value), math.sin(value)))
+        object.__setattr__(self, name, value)
+
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=np.float64)
         if self.half_width <= 0 or self.half_height <= 0 or self.frame_thickness <= 0:
             raise ValueError("gate extents must be positive")
 
     @property
     def normal(self) -> np.ndarray:
-        return np.array([math.cos(self.yaw), math.sin(self.yaw), 0.0])
+        nx, ny = self.normal_xy
+        return np.array([nx, ny, 0.0])
 
     @property
     def u_axis(self) -> np.ndarray:
-        return np.array([-math.sin(self.yaw), math.cos(self.yaw), 0.0])
+        nx, ny = self.normal_xy
+        return np.array([-ny, nx, 0.0])
 
 
 @dataclass
@@ -103,9 +120,8 @@ def segment_gate_crossing(p0, p1, gate: Gate):
     """
     x0, y0, z0 = p0
     x1, y1, z1 = p1
-    cx, cy, cz = gate.center.tolist()
-    nx = math.cos(gate.yaw)
-    ny = math.sin(gate.yaw)
+    cx, cy, cz = gate.center_xyz
+    nx, ny = gate.normal_xy
     d0 = (x0 - cx) * nx + (y0 - cy) * ny
     d1 = (x1 - cx) * nx + (y1 - cy) * ny
     if not (d0 < 0.0 and d1 >= 0.0):
@@ -146,9 +162,8 @@ def segment_frame_collision(p0, p1, gate: Gate, drone_radius: float) -> bool:
         raise ValueError("drone_radius must be positive")
     x0, y0, z0 = p0
     x1, y1, z1 = p1
-    cx, cy, cz = gate.center.tolist()
-    nx = math.cos(gate.yaw)
-    ny = math.sin(gate.yaw)
+    cx, cy, cz = gate.center_xyz
+    nx, ny = gate.normal_xy
     rx0 = x0 - cx
     ry0 = y0 - cy
     rz0 = z0 - cz

@@ -23,14 +23,17 @@ class RunningStats:
         self.frozen = False
         self._denom = None  # max(std, STD_FLOOR) of the current moments
 
-    def update(self, x) -> None:
-        """Welford step, in place on `mean` and `m2`."""
+    def update(self, x) -> np.ndarray:
+        """Welford step, in place on `mean` and `m2`. Returns a new array
+        of x minus the updated mean, which the step computes anyway."""
         x = np.asarray(x, dtype=np.float64)
         self.count += 1.0
         delta = x - self.mean
         self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
+        centered = x - self.mean
+        self.m2 += delta * centered
         self._denom = None
+        return centered
 
     def std(self) -> np.ndarray:
         if self.count < 1:
@@ -62,9 +65,10 @@ def normalize_observation(stats: RunningStats, obs) -> np.ndarray:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape[-1] != stats.dim:
         raise ValueError(f"expected obs dim {stats.dim}, got {obs.shape[-1]}")
-    if not stats.frozen:
-        stats.update(obs)
-    z = obs - stats.mean
+    if stats.frozen:
+        z = obs - stats.mean
+    else:
+        z = stats.update(obs)
     z /= stats._denominator()
     np.maximum(z, -OBS_CLIP, out=z)
     return np.minimum(z, OBS_CLIP, out=z)

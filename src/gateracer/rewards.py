@@ -4,6 +4,7 @@ stuck penalty, and episode termination rules."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,14 +35,18 @@ class RewardConfig:
     time_limit: Optional[float] = None  # None: use the track's
 
     def __post_init__(self):
+        # each test is written so that a NaN fails it
         if not (self.proximity_radius > self.pass_check_radius > 0):
             raise ValueError("need proximity_radius > pass_check_radius > 0")
-        if self.pass_reward <= 0:
-            raise ValueError("pass_reward must be positive")
-        if self.collision_penalty > 0 or self.stuck_penalty > 0:
-            raise ValueError("penalties must be <= 0")
-        if self.timer_multiplier < 1:
-            raise ValueError("timer_multiplier must be >= 1")
+        if not 0 < self.pass_reward < math.inf:
+            raise ValueError("pass_reward must be positive and finite")
+        for name in ("collision_penalty", "stuck_penalty"):
+            if not -math.inf < getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be finite and <= 0")
+        if not 1 <= self.timer_multiplier < math.inf:
+            raise ValueError("timer_multiplier must be finite and >= 1")
+        if not self.max_divergence > 0:
+            raise ValueError("max_divergence must be positive")
         if not self.collision_limit >= 1:
             raise ValueError("collision_limit must be at least 1")
         if self.time_limit is not None and not self.time_limit > 0:
@@ -71,18 +76,15 @@ def init_status(track: Track, opponent_times, cfg: RewardConfig,
     )
 
 
-def _distance(position: tuple, center: np.ndarray) -> float:
-    x, y, z = position
-    cx, cy, cz = center.tolist()
-    return norm3(x - cx, y - cy, z - cz)
-
-
-def check_termination(state: DroneState, status: EpisodeStatus,
-                      cfg: RewardConfig, track: Track) -> str:
+def check_termination(target_distance: float, state: DroneState,
+                      status: EpisodeStatus, cfg: RewardConfig,
+                      track: Track) -> str:
+    """`target_distance` is the state's distance to the target gate,
+    `track.gates[status.gates_passed]`; it is not read once every gate is
+    passed."""
     if status.gates_passed >= track.n_gates:
         return TERM_ALL_GATES
-    target = track.gates[status.gates_passed]
-    if _distance(state.position, target.center) > cfg.max_divergence:
+    if target_distance > cfg.max_divergence:
         return TERM_TOO_FAR
     if status.collisions >= cfg.collision_limit:
         return TERM_COLLISION_LIMIT
@@ -91,18 +93,18 @@ def check_termination(state: DroneState, status: EpisodeStatus,
     return TERM_NONE
 
 
-def compute_step(prev: DroneState, next_state: DroneState,
+def compute_step(distances: tuple, next_state: DroneState,
                  status: EpisodeStatus, passed: bool, collided: bool,
                  cfg: RewardConfig, opponent_times,
                  track: Track) -> tuple[float, EpisodeStatus]:
     """One reward/progress transition. `passed` and `collided` are this
     step's geometric facts: the target gate was crossed, a frame was
-    hit."""
+    hit. `distances` are the target gate's distance from the step's
+    start and from its end, and the end's distance to the target after
+    the step: the next gate after a pass, else the target again."""
     if status.done != TERM_NONE:
         raise ValueError("compute_step called on a finished episode")
-    target = track.gates[status.gates_passed]
-    d_prev = _distance(prev.position, target.center)
-    d_next = _distance(next_state.position, target.center)
+    d_prev, d_next, d_target = distances
 
     reward = cfg.progress_coef * (d_prev - d_next)
     if d_next < cfg.proximity_radius:
@@ -126,11 +128,11 @@ def compute_step(prev: DroneState, next_state: DroneState,
 
     if (not passed and new.gates_passed > 0
             and next_state.time > new.gate_deadline):
-        last_passed = track.gates[new.gates_passed - 1]
-        if _distance(next_state.position, last_passed.center) \
-                < cfg.proximity_radius:
+        x, y, z = next_state.position
+        cx, cy, cz = track.gates[new.gates_passed - 1].center_xyz
+        if norm3(x - cx, y - cy, z - cz) < cfg.proximity_radius:
             reward += cfg.stuck_penalty
 
     new.episode_return = status.episode_return + reward
-    new.done = check_termination(next_state, new, cfg, track)
+    new.done = check_termination(d_target, next_state, new, cfg, track)
     return reward, new

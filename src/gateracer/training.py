@@ -121,7 +121,7 @@ class Trainer:
                 obs_raw = self._episode_reset()
             else:
                 obs_raw = self.env.observe()
-            if not np.all(np.isfinite(obs_raw)):
+            if not np.isfinite(obs_raw).all():
                 raise RuntimeError(f"non-finite observation at step {self.global_step}")
             obs_n = normalize_observation(self.obs_stats, obs_raw)
         self._pending_obs = obs_n

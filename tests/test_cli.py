@@ -149,6 +149,18 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
     ("harness", "metrics_queue_size", 0),
     ("reward", "collision_limit", 0),
     ("dynamics", "v_max", -1),
+    ("dynamics", "command_scale", 0),
+    ("dynamics", "command_scale", float("inf")),
+    ("reward", "pass_reward", float("nan")),
+    ("reward", "collision_penalty", float("nan")),
+    ("reward", "stuck_penalty", float("nan")),
+    ("reward", "timer_multiplier", float("nan")),
+    ("reward", "max_divergence", 0),
+    ("reward", "max_divergence", float("nan")),
+    ("opponent", "cruise_speed", 0),
+    ("opponent", "cruise_speed", float("nan")),
+    ("opponent", "approach_offset", -1),
+    ("opponent", "approach_offset", float("inf")),
 ])
 def test_non_positive_config_value_is_exit_1(tmp_path, capsys, block, key,
                                              value):

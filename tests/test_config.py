@@ -83,6 +83,14 @@ _BAD_ENTRIES = [
     ("harness", "metrics_queue_size", 0),
     ("reward", "collision_limit", 0),
     ("dynamics", "v_max", -1.0),
+    ("dynamics", "command_scale", float("nan")),
+    ("reward", "pass_reward", float("nan")),
+    ("reward", "timer_multiplier", float("nan")),
+    ("reward", "collision_penalty", float("nan")),
+    ("reward", "stuck_penalty", float("nan")),
+    ("reward", "max_divergence", 0.0),
+    ("opponent", "cruise_speed", float("inf")),
+    ("opponent", "approach_offset", -1.0),
     ("no_such_block", "key", 1),
 ]
 

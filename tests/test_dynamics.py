@@ -65,6 +65,12 @@ def test_dt_must_be_positive():
         DynamicsConfig(dt=0.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_command_scale_must_be_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="command_scale"):
+        DynamicsConfig(command_scale=scale)
+
+
 def test_velocity_never_exceeds_v_max():
     cfg = DynamicsConfig()
     rng = np.random.default_rng(0)
@@ -127,9 +133,13 @@ def test_imu_deterministic_per_seed():
     np.testing.assert_array_equal(a, b)
 
 
-def test_imu_rejects_negative_noise():
-    with pytest.raises(ValueError):
-        read_imu(make_state(), -0.1 * np.ones(7), np.random.default_rng(0))
+def test_config_rejects_negative_sensor_noise():
+    """The sensor reads take their stds as given; the config refuses a
+    negative one when it is built."""
+    with pytest.raises(ValueError, match="imu_noise_std"):
+        DynamicsConfig(imu_noise_std=(0.1,) * 6 + (-0.1,))
+    with pytest.raises(ValueError, match="gps_noise_std"):
+        DynamicsConfig(gps_noise_std=-0.1)
 
 
 def test_gps_noiseless_exact_and_deterministic():

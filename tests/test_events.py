@@ -1,0 +1,179 @@
+"""`RacingEnv.detect_events` measures only the gates that can be within
+reach. These tests hold it to a full scan that measures every gate on
+every step: the same events, the same target distances, and the same
+predicate calls in the same order."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gateracer import env as env_module
+from gateracer.config import RunConfig
+from gateracer.dynamics import DroneState
+from gateracer.env import RacingEnv
+from gateracer.geometry import default_track, norm3
+
+
+def full_scan(env, prev, nxt):
+    """The oracle: `detect_events` as it was before the schedule, plus the
+    distances it passes on, each measured afresh."""
+    gates = env.track.gates
+    x, y, z = nxt.position
+    dist = [norm3(x - cx, y - cy, z - cz)
+            for cx, cy, cz in (g.center_xyz for g in gates)]
+    target = env.status.gates_passed
+    passed = False
+    if dist[target] < env._pass_reach[target]:
+        passed = env_module.segment_gate_crossing(
+            prev.position, nxt.position, gates[target]) is not None
+    collided = any(
+        env_module.segment_frame_collision(prev.position, nxt.position, gate,
+                                           env.drone_radius)
+        for gate, d, reach in zip(gates, dist, env._frame_reach)
+        if d <= reach)
+    px, py, pz = prev.position
+    cx, cy, cz = gates[target].center_xyz
+    after = target + 1 if passed and target + 1 < len(gates) else target
+    return passed, collided, (norm3(px - cx, py - cy, pz - cz),
+                              dist[target], dist[after])
+
+
+class Checked:
+    """Patches the env module's predicates to record their calls, and
+    `RacingEnv.detect_events` to compare each call with `full_scan`."""
+
+    def __init__(self, mp):
+        self.calls = []
+        self.steps = 0
+        for name in ("segment_gate_crossing", "segment_frame_collision"):
+            mp.setattr(env_module, name, self._recording(name))
+        scheduled = RacingEnv.detect_events
+
+        def detect_events(env, prev, nxt):
+            self.calls.clear()
+            want = full_scan(env, prev, nxt)
+            want_calls = list(self.calls)
+            self.calls.clear()
+            got = scheduled(env, prev, nxt)
+            assert got == want
+            assert self.calls == want_calls
+            self.steps += 1
+            return got
+
+        mp.setattr(RacingEnv, "detect_events", detect_events)
+
+    def _recording(self, name):
+        original = getattr(env_module, name)
+
+        def record(p0, p1, gate, *args):
+            self.calls.append((name, gate.id, tuple(p0), tuple(p1)))
+            return original(p0, p1, gate, *args)
+
+        return record
+
+
+def make_env(n_gates, seed=3):
+    return RacingEnv(default_track(seed, n_gates=n_gates), RunConfig(),
+                     np.random.default_rng(seed), np.random.default_rng(seed))
+
+
+def state(position, velocity=(0.0, 0.0, 0.0), time=0.0):
+    return DroneState(position=position, velocity=velocity,
+                      attitude=(0.0, 0.0, 0.0),
+                      angular_velocity=(0.0, 0.0, 0.0), time=time)
+
+
+_unit = st.floats(-1.0, 1.0)
+_vec = st.tuples(_unit, _unit, _unit)
+_moves = st.lists(st.one_of(
+    # a random command, clamped to [-1, 1] by the dynamics
+    st.tuples(st.just("command"), st.tuples(*[st.floats(-1.5, 1.5)] * 3)),
+    # fly at a point up to 2 m from the target gate's centre, so that
+    # gates get passed and hit
+    st.tuples(st.just("pursue"), _vec),
+    # put the agent near a gate, at up to three times v_max
+    st.tuples(st.just("teleport"), st.integers(0, 9), _vec, _vec),
+    # set the target gate by hand
+    st.tuples(st.just("retarget"), st.integers(0, 9)),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("save")),
+    st.tuples(st.just("load")),
+), min_size=1, max_size=60)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n_gates=st.sampled_from([3, 10]), moves=_moves,
+       steps=st.integers(1, 40))
+def test_scheduled_events_match_a_full_scan(n_gates, moves, steps):
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        env = make_env(n_gates)
+        env.reset()
+        v_max = env.dyn_cfg.v_max
+        saved = None
+        # every example ends with a flight, after whatever came before
+        for kind, *args in [*moves, ("pursue", (0.0, 0.0, 0.0))]:
+            if kind == "reset":
+                env.reset()
+            elif kind == "save":
+                saved = json.loads(json.dumps(env.state_dict()))
+            elif kind == "load" and saved is not None:
+                env.load_state_dict(saved)
+            elif kind == "retarget":
+                env.status = dataclasses.replace(
+                    env.status, gates_passed=args[0] % n_gates)
+            elif kind == "teleport":
+                gate, offset, velocity = args
+                gate = env.track.gates[gate % n_gates]
+                env.agent = state(
+                    [c + 5.0 * o for c, o in zip(gate.center_xyz, offset)],
+                    [3.0 * v_max * v for v in velocity], env.agent.time)
+            for _ in range(steps if kind in ("command", "pursue") else 0):
+                if kind == "command":
+                    action = args[0]
+                else:
+                    gate = env.track.gates[env.status.gates_passed]
+                    to_aim = (gate.center + 2.0 * np.asarray(args[0])
+                              - env.agent.position)
+                    action = (to_aim / max(np.linalg.norm(to_aim), 1e-9)
+                              - 0.06 * np.asarray(env.agent.velocity))
+                if env.step(action)[1]:
+                    env.reset()
+        assert checked.steps > 0
+
+
+def test_gate_reached_in_one_straight_step_is_measured():
+    """The triangle inequality is tight on a straight flight at a gate's
+    centre: a step that ends just inside the gate's reach has flown just
+    the distance the schedule allowed, and rounding can put the summed
+    path a hair short of it. The margin covers that."""
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        env = make_env(10)
+        for _ in range(400):
+            env.reset()
+            g = int(rng.integers(1, 10))
+            gate = env.track.gates[g]
+            reach = env._frame_reach[g]
+            center = np.array(gate.center_xyz)
+            ray = rng.normal(size=3)
+            ray /= np.linalg.norm(ray)
+            start = state((center + rng.uniform(reach + 0.5, reach + 8.0)
+                           * ray).tolist())
+            # the first step measures every gate where it ends ...
+            mid = state((np.asarray(start.position)
+                         + rng.uniform(0.0, 0.2) * ray).tolist())
+            env.detect_events(start, mid)
+            # ... and the second flies straight at gate g's centre, ending
+            # within a few ulps of its reach
+            rel = np.asarray(mid.position) - center
+            shrink = 1.0 - rng.integers(0, 4) * 2.0 ** -52
+            end = center + rel * (reach * shrink / math.sqrt(rel @ rel))
+            env.detect_events(mid, state(end.tolist()))
+        assert checked.steps == 800

@@ -107,6 +107,29 @@ def test_crossing_wrong_direction():
     assert p is None
 
 
+def test_moved_gate_is_seen_by_the_predicates():
+    """The predicates read the centre and normal that a gate keeps as
+    floats; assigning `center` or `yaw` rebuilds them, and the centre
+    array cannot be changed in place."""
+    source = np.array([0.0, 0.0, 1.5])
+    gate = make_gate(center=source)
+    source[0] = 5.0  # the gate holds its own copy
+    assert gate.center_xyz == (0.0, 0.0, 1.5)
+    with pytest.raises(ValueError):
+        gate.center[0] = 5.0
+    p0, p1 = np.array([4.0, 0.0, 1.5]), np.array([6.0, 0.0, 1.5])
+    assert segment_gate_crossing(p0, p1, gate) is None
+    gate.center = [5.0, 0.0, 1.5]
+    assert gate.center_xyz == (5.0, 0.0, 1.5)
+    assert segment_gate_crossing(p0, p1, gate) is not None
+    gate.yaw = math.pi  # now the segment goes the wrong way
+    assert gate.normal_xy == (math.cos(math.pi), math.sin(math.pi))
+    assert segment_gate_crossing(p0, p1, gate) is None
+    assert segment_gate_crossing(p1, p0, gate) is not None
+    assert segment_frame_collision(np.array([4.0, 1.6, 1.5]),
+                                   np.array([6.0, 1.6, 1.5]), gate, 0.3)
+
+
 def test_degenerate_segment():
     gate = make_gate()
     q = np.array([-1.0, 0.0, 1.5])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,19 @@ def state_at(pos, t=0.0):
     return DroneState(position=np.array(pos, dtype=float),
                       velocity=np.zeros(3), attitude=np.zeros(3),
                       angular_velocity=np.zeros(3), time=t)
+
+
+def distance(state, track, gate):
+    return float(np.linalg.norm(np.asarray(state.position)
+                                - track.gates[gate].center))
+
+
+def distances(prev, nxt, st, passed, track):
+    """The target distances that `RacingEnv.detect_events` passes on."""
+    target = st.gates_passed
+    after = min(target + passed, track.n_gates - 1)
+    return (distance(prev, track, target), distance(nxt, track, target),
+            distance(nxt, track, after))
 
 
 @pytest.fixture
@@ -39,6 +54,18 @@ def test_config_validation():
         RewardConfig(pass_check_radius=4.0)  # above proximity_radius
 
 
+@pytest.mark.parametrize("key,value", [
+    ("pass_reward", math.nan), ("pass_reward", math.inf),
+    ("collision_penalty", math.nan), ("collision_penalty", -math.inf),
+    ("stuck_penalty", math.nan), ("timer_multiplier", math.nan),
+    ("timer_multiplier", math.inf), ("max_divergence", 0.0),
+    ("max_divergence", math.nan),
+])
+def test_config_rejects_nan_and_out_of_range(key, value):
+    with pytest.raises(ValueError, match=key):
+        RewardConfig(**{key: value})
+
+
 def test_init_status_arithmetic(track):
     cfg = RewardConfig()
     times = np.array([2.5, 5.0, 7.5])
@@ -59,7 +86,8 @@ def test_progress_reward_one_meter(track, opp_times):
     d0 = center + 6.0 * track.gates[0].normal * -1.0
     prev = state_at(d0)
     nxt = state_at(d0 + track.gates[0].normal, t=0.05)
-    r, _ = compute_step(prev, nxt, st, False, False, cfg, opp_times, track)
+    r, _ = compute_step(distances(prev, nxt, st, False, track), nxt, st,
+                        False, False, cfg, opp_times, track)
     assert r == pytest.approx(cfg.progress_coef * 1.0, abs=1e-12)
 
 
@@ -68,8 +96,9 @@ def test_proximity_bonus_inside_band(track, opp_times):
     st = init_status(track, opp_times, cfg)
     center = track.gates[0].center
     p = center - 2.0 * track.gates[0].normal
-    r, _ = compute_step(state_at(p), state_at(p, t=0.05), st, False, False,
-                        cfg, opp_times, track)
+    prev, nxt = state_at(p), state_at(p, t=0.05)
+    r, _ = compute_step(distances(prev, nxt, st, False, track), nxt, st,
+                        False, False, cfg, opp_times, track)
     assert r == pytest.approx(cfg.proximity_bonus)
 
 
@@ -79,7 +108,8 @@ def test_pass_event_reward_and_deadline(track, opp_times):
     center = track.gates[0].center
     prev = state_at(center - 0.2 * track.gates[0].normal, t=1.0)
     nxt = state_at(center + 0.2 * track.gates[0].normal, t=1.05)
-    r, st2 = compute_step(prev, nxt, st, True, False, cfg, opp_times, track)
+    r, st2 = compute_step(distances(prev, nxt, st, True, track), nxt, st,
+                          True, False, cfg, opp_times, track)
     assert r >= cfg.pass_reward
     assert st2.gates_passed == 1
     budget = cfg.timer_multiplier * (opp_times[1] - opp_times[0])
@@ -97,8 +127,8 @@ def test_deadlines_replayed_match_budgets(track, opp_times):
         t += 1.0
         prev = state_at(gate.center - 0.1 * gate.normal, t=t - 0.05)
         nxt = state_at(gate.center + 0.1 * gate.normal, t=t)
-        _, st = compute_step(prev, nxt, st, True, False, cfg, opp_times,
-                             track)
+        _, st = compute_step(distances(prev, nxt, st, True, track), nxt,
+                             st, True, False, cfg, opp_times, track)
         budget = cfg.timer_multiplier * (opp_times[gate_idx + 1]
                                          - opp_times[gate_idx])
         assert st.gate_deadline == pytest.approx(t + budget)
@@ -108,7 +138,8 @@ def test_collision_penalty_and_count(track, opp_times):
     cfg = RewardConfig()
     st = init_status(track, opp_times, cfg)
     p = track.gates[0].center - 5.0 * track.gates[0].normal
-    r, st2 = compute_step(state_at(p), state_at(p, t=0.05), st,
+    prev, nxt = state_at(p), state_at(p, t=0.05)
+    r, st2 = compute_step(distances(prev, nxt, st, False, track), nxt, st,
                           False, True, cfg, opp_times, track)
     assert r == pytest.approx(cfg.collision_penalty)
     assert st2.collisions == 1
@@ -123,14 +154,16 @@ def test_stuck_penalty_near_passed_gate(track, opp_times, past, penalized):
     st = init_status(track, opp_times, cfg)
     gate0 = track.gates[0]
     # pass gate 0 at t=1
-    _, st = compute_step(state_at(gate0.center - 0.1 * gate0.normal, 0.95),
-                         state_at(gate0.center + 0.1 * gate0.normal, 1.0),
-                         st, True, False, cfg, opp_times, track)
+    prev = state_at(gate0.center - 0.1 * gate0.normal, 0.95)
+    nxt = state_at(gate0.center + 0.1 * gate0.normal, 1.0)
+    _, st = compute_step(distances(prev, nxt, st, True, track), nxt, st,
+                         True, False, cfg, opp_times, track)
     # hover past gate 0, after the new deadline has expired
     late = st.gate_deadline + 5.0
     spot = gate0.center + past * gate0.normal
-    r, _ = compute_step(state_at(spot, late - 0.05), state_at(spot, late),
-                        st, False, False, cfg, opp_times, track)
+    prev, nxt = state_at(spot, late - 0.05), state_at(spot, late)
+    r, _ = compute_step(distances(prev, nxt, st, False, track), nxt, st,
+                        False, False, cfg, opp_times, track)
     d_prev = np.linalg.norm(spot - track.gates[1].center)
     base = 0.0  # zero movement: no progress term
     if d_prev < cfg.proximity_radius:
@@ -143,7 +176,8 @@ def test_no_stuck_penalty_before_first_pass(track, opp_times):
     st = init_status(track, opp_times, cfg)
     late = st.gate_deadline + 10.0
     p = track.gates[0].center - 1.0 * track.gates[0].normal
-    r, _ = compute_step(state_at(p, late - 0.05), state_at(p, late), st,
+    prev, nxt = state_at(p, late - 0.05), state_at(p, late)
+    r, _ = compute_step(distances(prev, nxt, st, False, track), nxt, st,
                         False, False, cfg, opp_times, track)
     assert r == pytest.approx(cfg.proximity_bonus)
 
@@ -153,7 +187,7 @@ def test_compute_step_after_done_raises(track, opp_times):
     st = init_status(track, opp_times, cfg)
     st.done = TERM_TIME_LIMIT
     with pytest.raises(ValueError):
-        compute_step(state_at([0, 0, 0]), state_at([0, 0, 0], 0.05), st,
+        compute_step((1.0, 1.0, 1.0), state_at([0, 0, 0], 0.05), st,
                      False, False, cfg, opp_times, track)
 
 
@@ -162,23 +196,27 @@ def test_termination_priorities(track, opp_times):
     st = init_status(track, opp_times, cfg)
     far = state_at(track.gates[0].center + np.array([25.0, 0, 0]), t=1.0)
 
+    def end(state):
+        return check_termination(distance(state, track, 0), state, st, cfg,
+                                 track)
+
     st.gates_passed = track.n_gates
     # all_gates wins even when the state is also too far / out of time
     far_late = state_at(far.position, t=1e9)
-    assert check_termination(far_late, st, cfg, track) == TERM_ALL_GATES
+    assert end(far_late) == TERM_ALL_GATES
 
     st.gates_passed = 0
-    assert check_termination(far, st, cfg, track) == TERM_TOO_FAR
+    assert end(far) == TERM_TOO_FAR
 
     near = state_at(track.gates[0].center, t=1.0)
     st.collisions = cfg.collision_limit
-    assert check_termination(near, st, cfg, track) == TERM_COLLISION_LIMIT
+    assert end(near) == TERM_COLLISION_LIMIT
 
     st.collisions = 0
     late = state_at(track.gates[0].center,
                     t=resolved_time_limit(cfg, track) + 0.1)
-    assert check_termination(late, st, cfg, track) == TERM_TIME_LIMIT
-    assert check_termination(near, st, cfg, track) == TERM_NONE
+    assert end(late) == TERM_TIME_LIMIT
+    assert end(near) == TERM_NONE
 
 
 def test_time_limit_override(track):
