@@ -1,13 +1,16 @@
 """Checkpoints as an uncompressed zip, the NumPy `.npz` layout: one JSON
 member holding the JSON sections, the format version and a manifest of the
-arrays, and one little-endian `.npy` member per float32 or float64 array,
-each in its own dtype. `zipfile` checks each member's CRC-32 as it reads
-it. Also the policy's and the optimizer's layouts inside them."""
+arrays, and one 1-D little-endian `.npy` member per dtype (`float64.npy`,
+`float32.npy`) holding that dtype's arrays back to back, in manifest order.
+`zipfile` checks each member's CRC-32 as it reads it. Version-2 files, with
+one `.npy` member per array, still load. Also the policy's and the
+optimizer's layouts inside them."""
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import zipfile
 import zlib
@@ -18,10 +21,12 @@ from numpy.lib import format as npy_format
 from .networks import Adam, PolicyParams
 from .normalization import RunningStats
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _V1_PREFIX = b"GRCKPT\x00"  # how every version-1 checkpoint starts
 _HEADER_MEMBER = "checkpoint.json"
 _JSON_KEYS = ("counters", "config", "track", "scalars", "rng", "env")
+# the array dtypes in the order of their members, each stored little-endian
+_DTYPES = {"float64": np.dtype("<f8"), "float32": np.dtype("<f4")}
 # what the zip and `.npy` readers raise on a damaged file
 _READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
                 RuntimeError, KeyError, ValueError)
@@ -34,13 +39,17 @@ class CheckpointError(Exception):
 def save_checkpoint(path, state: dict) -> None:
     """`state` keys: counters, config, track, scalars, rng, env (JSON-able
     dicts) and arrays (name -> float32 or float64 ndarray)."""
-    arrays = {name: np.asarray(a) for name, a in state["arrays"].items()}
-    for name, a in arrays.items():
-        if a.dtype.kind != "f" or a.dtype.itemsize not in (4, 8):
+    groups = {dtype: [] for dtype in _DTYPES}
+    for name in sorted(state["arrays"]):
+        a = np.asarray(state["arrays"][name])
+        if a.dtype.name not in _DTYPES:
             raise CheckpointError(f"array '{name}' is {a.dtype}; a checkpoint "
                                   "holds float32 or float64 arrays only")
+        groups[a.dtype.name].append((name, a))
     header = {name: state[name] for name in _JSON_KEYS}
-    header.update(format_version=FORMAT_VERSION, arrays=sorted(arrays))
+    header.update(format_version=FORMAT_VERSION, arrays=[
+        [name, dtype, list(a.shape)]
+        for dtype, group in groups.items() for name, a in group])
     tmp = str(path) + ".tmp"
     # a ZipInfo built from a name carries a fixed 1980 timestamp, so the
     # same state always gives the same bytes
@@ -48,11 +57,18 @@ def save_checkpoint(path, state: dict) -> None:
         with zipfile.ZipFile(out, "w") as zf:
             zf.writestr(zipfile.ZipInfo(_HEADER_MEMBER),
                         json.dumps(header, sort_keys=True))
-            for name in sorted(arrays):
-                a = arrays[name]
-                a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
-                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                    npy_format.write_array(fh, a, allow_pickle=False)
+            for dtype, group in groups.items():
+                if not group:
+                    continue
+                with zf.open(zipfile.ZipInfo(f"{dtype}.npy"), "w") as fh:
+                    npy_format.write_array_header_1_0(fh, {
+                        "descr": _DTYPES[dtype].str, "fortran_order": False,
+                        "shape": (sum(a.size for _, a in group),)})
+                    # each array straight from its own buffer, uncopied
+                    # unless it is strided or big-endian
+                    for _, a in group:
+                        flat = np.ascontiguousarray(a, dtype=_DTYPES[dtype])
+                        fh.write(memoryview(flat.reshape(-1)).cast("B"))
         # synced before the rename publishes it, the directory after it
         out.flush()
         os.fsync(out.fileno())
@@ -69,7 +85,7 @@ def load_checkpoint(path) -> dict:
         data = fh.read()
     if data.startswith(_V1_PREFIX):
         raise CheckpointError("checkpoint format version mismatch: expected "
-                              f"{FORMAT_VERSION}, found 1")
+                              f"{FORMAT_VERSION} or 2, found 1")
     if not data.startswith(b"PK\x03\x04"):
         raise CheckpointError("not a checkpoint file (bad magic)")
     # zipfile finds the end-of-archive record anywhere near the end, so
@@ -81,26 +97,88 @@ def load_checkpoint(path) -> dict:
         with zipfile.ZipFile(io.BytesIO(data)) as zf:
             header = json.loads(zf.read(_HEADER_MEMBER))
             version = header["format_version"]
-            if version != FORMAT_VERSION:
+            if version == 2:
+                arrays = _read_v2_arrays(zf, header["arrays"])
+            elif version == FORMAT_VERSION:
+                arrays = _read_arrays(zf, header["arrays"])
+            else:
                 raise CheckpointError(
                     "checkpoint format version mismatch: expected "
-                    f"{FORMAT_VERSION}, found {version}")
-            names = header["arrays"]
-            if (sorted(zf.namelist())
-                    != sorted([_HEADER_MEMBER] + [f"{n}.npy" for n in names])):
-                raise CheckpointError("zip members do not match the manifest")
+                    f"{FORMAT_VERSION} or 2, found {version}")
             state = {name: header[name] for name in _JSON_KEYS}
-            state["arrays"] = {}
-            for name in names:
-                with zf.open(f"{name}.npy") as fh:
-                    state["arrays"][name] = npy_format.read_array(
-                        fh, allow_pickle=False)
-                    # reading to the end is what makes zipfile check the CRC
-                    if fh.read():
-                        raise CheckpointError(f"trailing bytes in array '{name}'")
+            state["arrays"] = arrays
     except _READ_ERRORS as exc:
         raise CheckpointError(f"checkpoint file is corrupt: {exc!r}") from exc
     return state
+
+
+def _check_members(zf: zipfile.ZipFile, members: list) -> None:
+    if sorted(zf.namelist()) != sorted([_HEADER_MEMBER] + members):
+        raise CheckpointError("zip members do not match the manifest")
+
+
+def _manifest_groups(manifest) -> dict:
+    """The version-3 manifest checked and split by dtype: dtype ->
+    [(name, shape)] in write order, for the dtypes it holds."""
+    if not isinstance(manifest, list):
+        raise CheckpointError("the array manifest is not a list")
+    groups, seen = {}, set()
+    for entry in manifest:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str)):
+            raise CheckpointError(f"bad manifest entry {entry!r}")
+        name, dtype, shape = entry
+        if dtype not in _DTYPES:
+            raise CheckpointError(f"array '{name}' has unknown dtype {dtype!r}")
+        if name in seen:
+            raise CheckpointError(f"array '{name}' is listed twice")
+        if not (isinstance(shape, list) and all(
+                type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"array '{name}' has bad shape {shape!r}")
+        seen.add(name)
+        groups.setdefault(dtype, []).append((name, tuple(shape)))
+    return groups
+
+
+def _read_arrays(zf: zipfile.ZipFile, manifest) -> dict:
+    """Version 3: each dtype member's arrays, each read into its own
+    allocation."""
+    groups = _manifest_groups(manifest)
+    _check_members(zf, [f"{dtype}.npy" for dtype in groups])
+    arrays = {}
+    for dtype, group in groups.items():
+        member = f"{dtype}.npy"
+        size = sum(math.prod(shape) for _, shape in group)
+        with zf.open(member) as fh:
+            if (npy_format.read_magic(fh) != (1, 0)
+                    or npy_format.read_array_header_1_0(fh)
+                    != ((size,), False, _DTYPES[dtype])
+                    or fh.tell() + size * _DTYPES[dtype].itemsize
+                    != zf.getinfo(member).file_size):
+                raise CheckpointError(f"member '{member}' does not hold the "
+                                      "manifest's arrays exactly")
+            # the arrays end where the member does, and reading to the end
+            # is what makes zipfile check the CRC
+            for name, shape in group:
+                a = np.empty(shape, _DTYPES[dtype])
+                buf = memoryview(a.reshape(-1)).cast("B")
+                if fh.readinto(buf) != len(buf):
+                    raise CheckpointError(f"array '{name}' is cut short")
+                arrays[name] = a
+    return arrays
+
+
+def _read_v2_arrays(zf: zipfile.ZipFile, names) -> dict:
+    """Version 2: one `.npy` member per array."""
+    _check_members(zf, [f"{n}.npy" for n in names])
+    arrays = {}
+    for name in names:
+        with zf.open(f"{name}.npy") as fh:
+            arrays[name] = npy_format.read_array(fh, allow_pickle=False)
+            # reading to the end is what makes zipfile check the CRC
+            if fh.read():
+                raise CheckpointError(f"trailing bytes in array '{name}'")
+    return arrays
 
 
 def policy_entries(params: PolicyParams, obs_stats: RunningStats):

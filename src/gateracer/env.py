@@ -71,17 +71,21 @@ class RacingEnv:
         # distance triggers, one per gate: each must cover every point
         # reachable in one step from anywhere its predicate can fire, or
         # real events get dropped. For a pass that is the opening; for a
-        # collision the farthest corner of the frame band's box.
-        travel_bound = self.dyn_cfg.v_max * self.dyn_cfg.dt
-        self._pass_reach = [
+        # collision the farthest corner of the frame band's box. The
+        # radii are those points' distances from the centre, the reaches
+        # add the farthest a step at up to v_max flies.
+        self._travel_bound = self.dyn_cfg.v_max * self.dyn_cfg.dt
+        self._pass_radius = [
             math.hypot(g.half_width, g.half_height)
-            + self.reward_cfg.pass_check_radius + travel_bound
-            for g in track.gates]
-        self._frame_reach = [
+            + self.reward_cfg.pass_check_radius for g in track.gates]
+        self._frame_radius = [
             math.hypot(g.frame_thickness / 2 + self.drone_radius,
                        g.half_width + g.frame_thickness,
-                       g.half_height + g.frame_thickness) + travel_bound
+                       g.half_height + g.frame_thickness)
             for g in track.gates]
+        self._pass_reach = [r + self._travel_bound for r in self._pass_radius]
+        self._frame_reach = [r + self._travel_bound
+                             for r in self._frame_radius]
         self.plan = opponent.plan(
             track, cruise_speed=self.opp_cfg.cruise_speed,
             approach_offset=self.opp_cfg.approach_offset)
@@ -171,25 +175,37 @@ class RacingEnv:
         length summed from each step's displacement comes within
         `SKIP_MARGIN` of that. A step whose `prev` is not where the
         last call ended, or whose target is not the one it left, starts
-        the schedule anew and measures every gate."""
+        the schedule anew and measures every gate.
+
+        The reaches allow for a step of up to v_max * dt. A longer one,
+        which a state faster than v_max takes (a resume that lowers v_max
+        leaves one), is tested within reaches widened to its own length.
+        The schedule needs no such allowance: the path length it sums
+        includes this step, so a skipped gate stays farther than its
+        reach from every point of the step, and so beyond any point at
+        which its predicates can fire."""
         px, py, pz = prev.position
         x, y, z = nxt.position
         gates = self.track.gates
         target = self.status.gates_passed
         cx, cy, cz = gates[target].center_xyz
+        step = norm3(x - px, y - py, z - pz)
         if prev.position != self._position or target != self._target:
             self._forget_schedule()
             self._due[target] = math.inf
             d_prev = norm3(px - cx, py - cy, pz - cz)
         else:
-            self._travel += norm3(x - px, y - py, z - pz)
+            self._travel += step
             d_prev = self._target_distance
         travel = self._travel
         due = self._due
+        pass_reach = self._pass_reach[target]
         frame_reach = self._frame_reach
+        if step > self._travel_bound:
+            pass_reach, frame_reach = self._widened_reaches(target, step)
         d_next = norm3(x - cx, y - cy, z - cz)
         passed = False
-        if d_next < self._pass_reach[target]:
+        if d_next < pass_reach:
             passed = segment_gate_crossing(prev.position, nxt.position,
                                            gates[target]) is not None
         # the distance of the gate that is the target after this step
@@ -227,6 +243,14 @@ class RacingEnv:
         self._target = after
         self._target_distance = d_after
         return passed, collided, (d_prev, d_next, d_after)
+
+    def _widened_reaches(self, target: int, step: float) -> tuple[float, list]:
+        """The target's pass reach and every frame reach for a step longer
+        than v_max * dt: each predicate's radius plus the step's length.
+        (Built here, because a comprehension in `detect_events` would
+        turn `step` into a closure cell, which costs every call.)"""
+        return (self._pass_radius[target] + step,
+                [r + step for r in self._frame_radius])
 
     def step(self, action) -> tuple[float, bool]:
         """Returns (raw_reward, done); `status` holds the episode's record.

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import shutil
 import stat
 import struct
 import zipfile
@@ -9,6 +11,9 @@ import pytest
 
 from gateracer.checkpoint import (CheckpointError, FORMAT_VERSION,
                                   load_checkpoint, save_checkpoint)
+from gateracer.cli import main as cli_main
+from gateracer.config import RunConfig, TrackSettings
+from gateracer.training import Trainer
 
 JSON_KEYS = ("counters", "config", "track", "scalars", "rng", "env")
 
@@ -130,7 +135,7 @@ def test_v1_file_is_rejected_naming_versions(tmp_path):
     path.write_bytes(b"GRCKPT\x00" + struct.pack("<I", 1) + b"\x00" * 64)
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
-    assert "1" in str(err.value) and "2" in str(err.value)
+    assert "1" in str(err.value) and str(FORMAT_VERSION) in str(err.value)
 
 
 def test_truncated_file(tmp_path):
@@ -189,30 +194,216 @@ def test_every_bit_flip_raises_or_loads_the_same_state(tmp_path):
 
 
 def test_shrunken_array_shape_raises(tmp_path):
-    """An array larger than zipfile's read-ahead, whose `.npy` header
-    lost one bit of its shape, must still fail the member's CRC."""
+    """A dtype member larger than zipfile's read-ahead, whose `.npy`
+    header lost one bit of its shape, must not load."""
     state = sample_state(np.random.default_rng(6))
     state["arrays"]["w"] = np.arange(9000.0)
     path = tmp_path / "ck.bin"
     save_checkpoint(path, state)
     data = path.read_bytes()
-    assert data.count(b"(9000,)") == 1
-    path.write_bytes(data.replace(b"(9000,)", b"(8000,)"))  # '9' ^ 1 == '8'
+    # 9000 + 5 float64 values, all in the one float64 member
+    assert data.count(b"(9005,)") == 1
+    path.write_bytes(data.replace(b"(9005,)", b"(8005,)"))  # '9' ^ 1 == '8'
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("change", ["drop", "add"])
-def test_members_must_match_manifest(tmp_path, change):
-    path = tmp_path / "ck.bin"
-    save_checkpoint(path, sample_state(np.random.default_rng(7)))
+def rewrite(path, edit=None, drop=(), add=None):
+    """Rewrites the zip at `path` with its JSON header edited in place by
+    `edit`, the members named in `drop` left out and those in `add`
+    appended."""
     with zipfile.ZipFile(path) as zf:
         members = {info: zf.read(info) for info in zf.infolist()}
     with zipfile.ZipFile(path, "w") as zf:
         for info, data in members.items():
-            if not (change == "drop" and info.filename == "b.npy"):
+            if info.filename.endswith(".json") and edit is not None:
+                header = json.loads(data)
+                edit(header)
+                data = json.dumps(header)
+            if info.filename not in drop:
                 zf.writestr(info, data)
-        if change == "add":
-            zf.writestr(zipfile.ZipInfo("extra.npy"), b"")
+        for name, data in (add or {}).items():
+            zf.writestr(zipfile.ZipInfo(name), data)
+
+
+def npy_bytes(a):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, a)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_members_must_match_manifest(tmp_path, change):
+    """The sample holds float64 arrays only: its float64 member cannot
+    go missing, and a float32 member, even a well-formed one, cannot be
+    added."""
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, sample_state(np.random.default_rng(7)))
+    with zipfile.ZipFile(path) as zf:
+        assert zf.namelist() == ["checkpoint.json", "float64.npy"]
+    if change == "drop":
+        rewrite(path, drop=("float64.npy",))
+    else:
+        rewrite(path, add={"float32.npy": npy_bytes(np.zeros(0, "<f4"))})
     with pytest.raises(CheckpointError, match="manifest"):
         load_checkpoint(path)
+
+
+def test_one_member_per_dtype_in_manifest_order(tmp_path):
+    """The JSON member and one member per dtype, float64 first; the
+    manifest lists each array with its dtype and shape in write order."""
+    state = sample_state(np.random.default_rng(8))
+    state["arrays"]["m"] = np.ones((2, 2), np.float32)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, state)
+    with zipfile.ZipFile(path) as zf:
+        assert zf.namelist() == ["checkpoint.json", "float64.npy",
+                                 "float32.npy"]
+        manifest = json.loads(zf.read("checkpoint.json"))["arrays"]
+    assert manifest == [["b", "float64", [5]], ["w", "float64", [3, 5]],
+                        ["m", "float32", [2, 2]]]
+
+
+def _set_entry(index, field, value):
+    def edit(header):
+        header["arrays"][index][field] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set_entry(0, 1, "float16"), "unknown dtype"),
+    (_set_entry(0, 1, "<f8"), "unknown dtype"),
+    (lambda h: h["arrays"].append(list(h["arrays"][0])), "listed twice"),
+    (_set_entry(0, 2, [-1]), "bad shape"),
+    (_set_entry(0, 2, [5.0]), "bad shape"),
+    (_set_entry(0, 2, 5), "bad shape"),
+    (_set_entry(0, 2, [True, 5]), "bad shape"),
+    (_set_entry(0, 2, [4]), "exactly"),
+    (_set_entry(0, 2, [6]), "exactly"),
+    (_set_entry(1, 2, [3, 6]), "exactly"),
+    (_set_entry(0, 0, 7), "bad manifest entry"),
+    (lambda h: h["arrays"][0].append(0), "bad manifest entry"),
+    (lambda h: h.update(arrays={"b": ["float64", [5]]}), "not a list"),
+], ids=["dtype", "byte-order-dtype", "duplicate", "negative-dim",
+        "float-dim", "scalar-shape", "bool-dim", "short", "long",
+        "wide", "name-not-str", "long-entry", "not-a-list"])
+def test_manifest_is_checked_strictly(tmp_path, edit, match):
+    """Each flaw of the manifest is a CheckpointError, although the
+    rewritten file's CRCs all hold."""
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, sample_state(np.random.default_rng(9)))
+    rewrite(path, edit=edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def _replace_float64_header(path, header, edit=None):
+    """Rewrites the float64 member with the `.npy` header `header` in
+    front of its unchanged values, and the JSON header edited by `edit`."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, header)
+    with zipfile.ZipFile(path) as zf, zf.open("float64.npy") as fh:
+        np.lib.format.read_magic(fh)
+        np.lib.format.read_array_header_1_0(fh)
+        values = fh.read()
+    rewrite(path, edit=edit, drop=("float64.npy",),
+            add={"float64.npy": buf.getvalue() + values})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("descr", ">f8"), ("descr", "<f4"), ("fortran_order", True),
+    ("shape", (21,)), ("shape", (4, 5))])
+def test_dtype_member_header_must_match_manifest(tmp_path, field, value):
+    """The member's own `.npy` header must say what the manifest does:
+    20 little-endian float64 values, in a 1-D array."""
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, sample_state(np.random.default_rng(10)))
+    header = {"descr": "<f8", "fortran_order": False, "shape": (20,)}
+    _replace_float64_header(path, header)
+    assert load_checkpoint(path)["arrays"].keys() == {"b", "w"}
+    _replace_float64_header(path, {**header, field: value})
+    with pytest.raises(CheckpointError, match="exactly"):
+        load_checkpoint(path)
+
+
+def test_a_member_shorter_than_its_manifest_is_refused_unread(tmp_path):
+    """A manifest and a `.npy` header that agree on far more values than
+    the member holds are refused before any array is allocated."""
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, sample_state(np.random.default_rng(10)))
+    huge = 2 ** 40
+    _replace_float64_header(
+        path, {"descr": "<f8", "fortran_order": False, "shape": (huge + 5,)},
+        edit=_set_entry(1, 2, [huge]))
+    with pytest.raises(CheckpointError, match="exactly"):
+        load_checkpoint(path)
+
+
+def save_v2(path, state):
+    """The version-2 writer: a JSON member with `format_version: 2` and
+    the sorted array names, then one `.npy` member per array, each written
+    by `numpy.lib.format.write_array`."""
+    arrays = {name: np.asarray(a) for name, a in state["arrays"].items()}
+    header = {key: state[key] for key in JSON_KEYS}
+    header.update(format_version=2, arrays=sorted(arrays))
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(zipfile.ZipInfo("checkpoint.json"),
+                    json.dumps(header, sort_keys=True))
+        for name in sorted(arrays):
+            a = arrays[name]
+            a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, a, allow_pickle=False)
+
+
+def _run_cfg(updates):
+    cfg = RunConfig(track=TrackSettings(seed=3, n_gates=3,
+                                        spacing=(10.0, 12.0)))
+    cfg.train.total_steps = updates * 256
+    cfg.train.rollout_steps = 256
+    cfg.train.epochs_per_update = 1
+    cfg.harness.checkpoint_interval = 1
+    return cfg
+
+
+def test_a_version_2_file_loads_resumes_and_evaluates_as_version_3(
+        tmp_path, capsys):
+    """A version-2 file of a trained state loads to the same arrays, bit
+    for bit, and the same JSON sections as its version-3 file; a resume
+    from it writes the same log and checkpoint; `inspect` and `eval`
+    print the same."""
+    v3_dir, v2_dir = tmp_path / "v3", tmp_path / "v2"
+    Trainer(_run_cfg(2), seed=6, out_dir=v3_dir).train()
+    v3, v2 = v3_dir / "checkpoint.bin", v2_dir / "checkpoint.bin"
+    with zipfile.ZipFile(v3) as zf:
+        assert zf.namelist() == ["checkpoint.json", "float64.npy",
+                                 "float32.npy"]
+    state = load_checkpoint(v3)
+    shutil.copytree(v3_dir, v2_dir)
+    save_v2(v2, state)
+    with zipfile.ZipFile(v2) as zf:
+        assert len(zf.namelist()) == 1 + len(state["arrays"])
+        assert json.loads(zf.read("checkpoint.json"))["format_version"] == 2
+
+    old = load_checkpoint(v2)
+    for key in JSON_KEYS:
+        assert old[key] == state[key], key
+    assert old["arrays"].keys() == state["arrays"].keys()
+    for name, a in state["arrays"].items():
+        b = old["arrays"][name]
+        assert (b.dtype, b.shape, b.tobytes()) == (
+            a.dtype, a.shape, a.tobytes()), name
+
+    for command in (["inspect"], ["eval", "--episodes", "2"]):
+        printed = []
+        for path in (v3, v2):
+            assert cli_main([command[0], "--ckpt", str(path),
+                             *command[1:]]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0], command[0]
+
+    for out in (v3_dir, v2_dir):
+        Trainer(_run_cfg(4), seed=6, out_dir=out,
+                resume=str(out / "checkpoint.bin")).train()
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert (v2_dir / name).read_bytes() == (v3_dir / name).read_bytes()

@@ -14,29 +14,35 @@ from hypothesis import strategies as st
 
 from gateracer import env as env_module
 from gateracer.config import RunConfig
-from gateracer.dynamics import DroneState
+from gateracer.dynamics import DroneState, DynamicsConfig
 from gateracer.env import RacingEnv
-from gateracer.geometry import default_track, norm3
+from gateracer.geometry import Gate, Track, default_track, norm3
 
 
 def full_scan(env, prev, nxt):
     """The oracle: `detect_events` as it was before the schedule, plus the
-    distances it passes on, each measured afresh."""
+    distances it passes on, each measured afresh. A step longer than
+    v_max * dt is tested within reaches widened to its own length."""
     gates = env.track.gates
     x, y, z = nxt.position
+    px, py, pz = prev.position
     dist = [norm3(x - cx, y - cy, z - cz)
             for cx, cy, cz in (g.center_xyz for g in gates)]
+    pass_reach, frame_reach = env._pass_reach, env._frame_reach
+    step = norm3(x - px, y - py, z - pz)
+    if step > env._travel_bound:
+        pass_reach = [r + step for r in env._pass_radius]
+        frame_reach = [r + step for r in env._frame_radius]
     target = env.status.gates_passed
     passed = False
-    if dist[target] < env._pass_reach[target]:
+    if dist[target] < pass_reach[target]:
         passed = env_module.segment_gate_crossing(
             prev.position, nxt.position, gates[target]) is not None
     collided = any(
         env_module.segment_frame_collision(prev.position, nxt.position, gate,
                                            env.drone_radius)
-        for gate, d, reach in zip(gates, dist, env._frame_reach)
+        for gate, d, reach in zip(gates, dist, frame_reach)
         if d <= reach)
-    px, py, pz = prev.position
     cx, cy, cz = gates[target].center_xyz
     after = target + 1 if passed and target + 1 < len(gates) else target
     return passed, collided, (norm3(px - cx, py - cy, pz - cz),
@@ -177,3 +183,37 @@ def test_gate_reached_in_one_straight_step_is_measured():
             end = center + rel * (reach * shrink / math.sqrt(rel @ rel))
             env.detect_events(mid, state(end.tolist()))
         assert checked.steps == 800
+
+
+def test_a_step_faster_than_v_max_finds_every_frame_hit():
+    """A state faster than v_max, as a resume that lowers v_max leaves,
+    flies farther in one step than the reaches allow for. Here v_max is
+    5 m/s and every step is 0.8 m long, 16 m/s: eight steps along the
+    normal of a gate at the origin into its opening, then one diagonally
+    in its plane out through one point of a 6 x 6 grid on the frame
+    band's corner. That last step reports its hit, and no earlier one
+    does. The gate is not the target, so it is measured on the
+    schedule."""
+    track = Track([Gate(0, np.array([0.0, 0.0, 40.0]), 0.0),
+                   Gate(1, np.zeros(3), 0.0)])
+    env = RacingEnv(track, RunConfig(dynamics=DynamicsConfig(v_max=5.0)))
+    env.reset()
+    gate = track.gates[1]
+    band = [gate.half_width + gate.frame_thickness * (k + 0.5) / 6
+            for k in range(6)]
+    step = 0.8
+    diagonal = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
+    normal = np.array([1.0, 0.0, 0.0])
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        for u in band:
+            for v in band:
+                start = np.array([0.0, u, v]) - 0.5 * step * diagonal
+                points = [start - k * step * normal for k in range(8, 0, -1)]
+                points += [start, start + step * diagonal]
+                path = [state(p.tolist(), (16.0 * normal).tolist())
+                        for p in points]
+                hits = [env.detect_events(a, b)[1]
+                        for a, b in zip(path, path[1:])]
+                assert hits == [False] * 8 + [True], (u, v)
+    assert checked.steps == 36 * 9

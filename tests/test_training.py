@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import gateracer
 from gateracer import checkpoint
 from gateracer.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gateracer.cli import main as cli_main
@@ -531,3 +537,73 @@ def test_train_closes_the_log_and_joins_the_writer_when_it_raises(
     assert tr.metrics._fh.closed
     assert set(threading.enumerate()) <= threads
     assert load_checkpoint(tr.checkpoint_path)["counters"]["update_count"] == 1
+
+
+# ----------------------------------------------------------------------
+# a training process killed at any moment resumes to the same bytes
+
+KILL_CONFIG = ("track: {n_gates: 3}\n"
+               "train: {total_steps: 1536, rollout_steps: 256}\n"
+               "harness: {checkpoint_interval: 1}\n")
+
+
+def _train_args(config, out_dir, *extra):
+    return ["train", "--config", str(config), "--seed", "3", "--out",
+            str(out_dir), *extra]
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_run(tmp_path_factory):
+    """Six updates, each checkpointed, run to the end: (config, run dir)."""
+    root = tmp_path_factory.mktemp("kill")
+    config = root / "run.yaml"
+    config.write_text(KILL_CONFIG)
+    assert cli_main(_train_args(config, root / "full")) == 0
+    return config, root / "full"
+
+
+def _kill_after_update(config, out_dir, k):
+    """Runs `gateracer train` in a process of its own and SIGKILLs it once
+    `metrics.jsonl` holds update record k and a checkpoint is on disk."""
+    src = os.path.dirname(os.path.dirname(gateracer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gateracer.cli",
+         *_train_args(config, out_dir)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    metrics, ckpt = out_dir / "metrics.jsonl", out_dir / "checkpoint.bin"
+    deadline = time.monotonic() + 120
+    try:
+        while not (ckpt.exists() and metrics.exists() and metrics.read_bytes()
+                   .count(b'"event": "update"') >= k):
+            assert proc.poll() is None, "the run ended before the kill"
+            assert time.monotonic() < deadline, "no update record in time"
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+
+
+@pytest.mark.parametrize("k, stale_tmp", [(2, False), (4, False), (3, True)])
+def test_a_killed_run_resumes_to_the_uninterrupted_bytes(
+        tmp_path, uninterrupted_run, k, stale_tmp):
+    """SIGKILL after update k, wherever the checkpoint write behind it
+    stands, then `--resume` into the same directory: the log and the
+    checkpoint are byte for byte those of a run never interrupted. A
+    truncated temporary file beside the checkpoint, as a kill during a
+    write leaves, is ignored and replaced."""
+    config, full = uninterrupted_run
+    out = tmp_path / "run"
+    _kill_after_update(config, out, k)
+    ckpt = out / "checkpoint.bin"
+    tmp = out / "checkpoint.bin.tmp"
+    if stale_tmp:
+        data = (full / "checkpoint.bin").read_bytes()
+        tmp.write_bytes(data[: len(data) // 2])
+    assert cli_main(_train_args(config, out, "--resume", str(ckpt))) == 0
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+    assert not tmp.exists()
