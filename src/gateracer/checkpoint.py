@@ -8,7 +8,6 @@ optimizer's layouts inside them."""
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -27,9 +26,10 @@ _HEADER_MEMBER = "checkpoint.json"
 _JSON_KEYS = ("counters", "config", "track", "scalars", "rng", "env")
 # the array dtypes in the order of their members, each stored little-endian
 _DTYPES = {"float64": np.dtype("<f8"), "float32": np.dtype("<f4")}
-# what the zip and `.npy` readers raise on a damaged file
+# what the zip and `.npy` readers raise on a damaged file; OSError is a
+# seek to the negative offset that a damaged directory can give
 _READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
-                RuntimeError, KeyError, ValueError)
+                RuntimeError, KeyError, ValueError, OSError)
 
 
 class CheckpointError(Exception):
@@ -82,33 +82,36 @@ def save_checkpoint(path, state: dict) -> None:
 
 def load_checkpoint(path) -> dict:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data.startswith(_V1_PREFIX):
-        raise CheckpointError("checkpoint format version mismatch: expected "
-                              f"{FORMAT_VERSION} or 2, found 1")
-    if not data.startswith(b"PK\x03\x04"):
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    # zipfile finds the end-of-archive record anywhere near the end, so
-    # appended bytes and a cut-off tail would both go unnoticed
-    if data[-22:-18] != b"PK\x05\x06":
-        raise CheckpointError("trailing bytes or truncation after the zip "
-                              "end-of-archive record")
-    try:
-        with zipfile.ZipFile(io.BytesIO(data)) as zf:
-            header = json.loads(zf.read(_HEADER_MEMBER))
-            version = header["format_version"]
-            if version == 2:
-                arrays = _read_v2_arrays(zf, header["arrays"])
-            elif version == FORMAT_VERSION:
-                arrays = _read_arrays(zf, header["arrays"])
-            else:
-                raise CheckpointError(
-                    "checkpoint format version mismatch: expected "
-                    f"{FORMAT_VERSION} or 2, found {version}")
-            state = {name: header[name] for name in _JSON_KEYS}
-            state["arrays"] = arrays
-    except _READ_ERRORS as exc:
-        raise CheckpointError(f"checkpoint file is corrupt: {exc!r}") from exc
+        magic = fh.read(len(_V1_PREFIX))
+        if magic == _V1_PREFIX:
+            raise CheckpointError("checkpoint format version mismatch: "
+                                  f"expected {FORMAT_VERSION} or 2, found 1")
+        if not magic.startswith(b"PK\x03\x04"):
+            raise CheckpointError("not a checkpoint file (bad magic)")
+        # zipfile finds the end-of-archive record anywhere near the end, so
+        # appended bytes and a cut-off tail would both go unnoticed; in a
+        # file shorter than the record this reads the magic
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 22, 0))
+        if fh.read(4) != b"PK\x05\x06":
+            raise CheckpointError("trailing bytes or truncation after the "
+                                  "zip end-of-archive record")
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                header = json.loads(zf.read(_HEADER_MEMBER))
+                version = header["format_version"]
+                if version == 2:
+                    arrays = _read_v2_arrays(zf, header["arrays"])
+                elif version == FORMAT_VERSION:
+                    arrays = _read_arrays(zf, header["arrays"])
+                else:
+                    raise CheckpointError(
+                        "checkpoint format version mismatch: expected "
+                        f"{FORMAT_VERSION} or 2, found {version}")
+                state = {name: header[name] for name in _JSON_KEYS}
+                state["arrays"] = arrays
+        except _READ_ERRORS as exc:
+            raise CheckpointError(
+                f"checkpoint file is corrupt: {exc!r}") from exc
     return state
 
 

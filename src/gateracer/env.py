@@ -17,8 +17,8 @@ from .rewards import EpisodeStatus, TERM_NONE
 
 OBS_DIM = 21
 TIMER_OBS_SCALE = 0.1
-# metres by which a skipped gate is measured early: far above the
-# rounding of the summed path length and of one distance
+# metres added to every reach: far above the rounding of the summed
+# path length, of one step's length and of one distance
 SKIP_MARGIN = 1e-3
 
 
@@ -68,24 +68,19 @@ class RacingEnv:
         self.spawn_rng = spawn_rng or np.random.default_rng(0)
         self.sensor_rng = sensor_rng or np.random.default_rng(1)
         self.drone_radius = cfg.harness.drone_radius
-        # distance triggers, one per gate: each must cover every point
-        # reachable in one step from anywhere its predicate can fire, or
-        # real events get dropped. For a pass that is the opening; for a
-        # collision the farthest corner of the frame band's box. The
-        # radii are those points' distances from the centre, the reaches
-        # add the farthest a step at up to v_max flies.
-        self._travel_bound = self.dyn_cfg.v_max * self.dyn_cfg.dt
-        self._pass_radius = [
+        # one reach per gate and predicate, from the centre, beyond which
+        # it cannot fire: for a pass the opening's corner plus
+        # pass_check_radius, for a collision the frame band's farthest
+        # corner; each plus SKIP_MARGIN
+        self._pass_reach = [
             math.hypot(g.half_width, g.half_height)
-            + self.reward_cfg.pass_check_radius for g in track.gates]
-        self._frame_radius = [
+            + self.reward_cfg.pass_check_radius + SKIP_MARGIN
+            for g in track.gates]
+        self._frame_reach = [
             math.hypot(g.frame_thickness / 2 + self.drone_radius,
                        g.half_width + g.frame_thickness,
-                       g.half_height + g.frame_thickness)
+                       g.half_height + g.frame_thickness) + SKIP_MARGIN
             for g in track.gates]
-        self._pass_reach = [r + self._travel_bound for r in self._pass_radius]
-        self._frame_reach = [r + self._travel_bound
-                             for r in self._frame_radius]
         self.plan = opponent.plan(
             track, cruise_speed=self.opp_cfg.cruise_speed,
             approach_offset=self.opp_cfg.approach_offset)
@@ -167,23 +162,16 @@ class RacingEnv:
         checked, in gate order, against every gate within reach.
         `distances` are the ones `rewards.compute_step` takes.
 
-        Each gate's distance from `nxt` is measured at most once, and
-        only where it can be within reach. The target gate is measured
-        on every step. Gate g, measured at distance d > reach, cannot be
-        within reach before the drone has flown d - reach more metres (by
-        the triangle inequality), so it is measured again once the path
-        length summed from each step's displacement comes within
-        `SKIP_MARGIN` of that. A step whose `prev` is not where the
-        last call ended, or whose target is not the one it left, starts
-        the schedule anew and measures every gate.
-
-        The reaches allow for a step of up to v_max * dt. A longer one,
-        which a state faster than v_max takes (a resume that lowers v_max
-        leaves one), is tested within reaches widened to its own length.
-        The schedule needs no such allowance: the path length it sums
-        includes this step, so a skipped gate stays farther than its
-        reach from every point of the step, and so beyond any point at
-        which its predicates can fire."""
+        A predicate is tested when the step ends within its reach plus the
+        step's length: a step that ends farther passes no point within the
+        reach, whatever its speed. Each gate's distance from `nxt` is
+        measured at most once, the target's on every step. Gate g, measured
+        at distance d > reach, cannot come within reach before the drone has
+        flown d - reach more metres (by the triangle inequality), so it is
+        measured again once the path length summed over the steps, this one
+        included, reaches that. A step whose `prev` is not where the last
+        call ended, or whose target is not the one it left, starts the
+        schedule anew and measures every gate."""
         px, py, pz = prev.position
         x, y, z = nxt.position
         gates = self.track.gates
@@ -199,13 +187,10 @@ class RacingEnv:
             d_prev = self._target_distance
         travel = self._travel
         due = self._due
-        pass_reach = self._pass_reach[target]
         frame_reach = self._frame_reach
-        if step > self._travel_bound:
-            pass_reach, frame_reach = self._widened_reaches(target, step)
         d_next = norm3(x - cx, y - cy, z - cz)
         passed = False
-        if d_next < pass_reach:
+        if d_next < self._pass_reach[target] + step:
             passed = segment_gate_crossing(prev.position, nxt.position,
                                            gates[target]) is not None
         # the distance of the gate that is the target after this step
@@ -216,7 +201,7 @@ class RacingEnv:
                 cx, cy, cz = gates[after].center_xyz
                 d_after = norm3(x - cx, y - cy, z - cz)
                 due[after] = math.inf
-            due[target] = travel + d_next - frame_reach[target] - SKIP_MARGIN
+            due[target] = travel + d_next - frame_reach[target]
         collided = False
         if passed or travel >= self._next_due:
             for g, gate in enumerate(gates):
@@ -227,30 +212,22 @@ class RacingEnv:
                 elif due[g] <= travel:
                     cx, cy, cz = gate.center_xyz
                     d = norm3(x - cx, y - cy, z - cz)
-                    due[g] = travel + d - frame_reach[g] - SKIP_MARGIN
+                    due[g] = travel + d - frame_reach[g]
                 else:
                     continue
                 # gates after a hit stay due and are measured next step
-                if d <= frame_reach[g] and segment_frame_collision(
+                if d <= frame_reach[g] + step and segment_frame_collision(
                         prev.position, nxt.position, gate, self.drone_radius):
                     collided = True
                     break
             self._next_due = min(due)
-        elif d_next <= frame_reach[target]:
+        elif d_next <= frame_reach[target] + step:
             collided = segment_frame_collision(
                 prev.position, nxt.position, gates[target], self.drone_radius)
         self._position = nxt.position
         self._target = after
         self._target_distance = d_after
         return passed, collided, (d_prev, d_next, d_after)
-
-    def _widened_reaches(self, target: int, step: float) -> tuple[float, list]:
-        """The target's pass reach and every frame reach for a step longer
-        than v_max * dt: each predicate's radius plus the step's length.
-        (Built here, because a comprehension in `detect_events` would
-        turn `step` into a closure cell, which costs every call.)"""
-        return (self._pass_radius[target] + step,
-                [r + step for r in self._frame_radius])
 
     def step(self, action) -> tuple[float, bool]:
         """Returns (raw_reward, done); `status` holds the episode's record.

@@ -71,10 +71,23 @@ class Track:
     time_limit: float = 60.0
 
     def __post_init__(self):
+        if not self.gates:
+            raise ValueError("a track needs at least one gate")
         for i, g in enumerate(self.gates):
             if g.id != i:
                 raise ValueError("gate ids must be 0..n-1 in order")
-        self.spawn_band = (float(self.spawn_band[0]), float(self.spawn_band[1]))
+        lo, hi = map(float, self.spawn_band)
+        # a spawn is drawn up to hypot(half_width, half_height) / 2 off
+        # the gate's axis, and its distance from the centre must reach it
+        least = max(math.hypot(g.half_width, g.half_height) / 2
+                    for g in self.gates)
+        if not least <= lo <= hi < math.inf:
+            raise ValueError(f"spawn_band must satisfy {least:g} <= lo <= hi "
+                             f"< inf, got [{lo:g}, {hi:g}]")
+        self.spawn_band = (lo, hi)
+        if not self.time_limit > 0:
+            raise ValueError(
+                f"time_limit must be positive, got {self.time_limit!r}")
 
     @property
     def n_gates(self) -> int:
@@ -249,22 +262,28 @@ def track_to_dict(track: Track) -> dict:
 
 
 def track_from_dict(data: dict) -> Track:
-    gates = [
-        Gate(
-            id=int(g["id"]),
-            center=np.array(g["center"], dtype=np.float64),
-            yaw=float(g["yaw"]),
-            half_width=float(g["half_width"]),
-            half_height=float(g["half_height"]),
-            frame_thickness=float(g["frame_thickness"]),
+    """Inverse of track_to_dict; a missing field is a ValueError naming it."""
+    try:
+        gates = [
+            Gate(
+                id=int(g["id"]),
+                center=np.array(g["center"], dtype=np.float64),
+                yaw=float(g["yaw"]),
+                half_width=float(g["half_width"]),
+                half_height=float(g["half_height"]),
+                frame_thickness=float(g["frame_thickness"]),
+            )
+            for g in data["gates"]
+        ]
+        return Track(
+            gates=gates,
+            spawn_band=tuple(data["spawn_band"]),
+            time_limit=float(data["time_limit"]),
         )
-        for g in data["gates"]
-    ]
-    return Track(
-        gates=gates,
-        spawn_band=tuple(data["spawn_band"]),
-        time_limit=float(data["time_limit"]),
-    )
+    except KeyError as exc:
+        raise ValueError(f"track field {exc.args[0]!r} is missing") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed track: {exc}") from None
 
 
 def dump_track(track: Track) -> str:

@@ -85,6 +85,16 @@ def test_bad_checkpoint_is_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_track_file_with_a_short_spawn_band_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "t.yaml"
+    save_track(default_track(1, n_gates=3), path)
+    data = yaml.safe_load(path.read_text())
+    data["spawn_band"] = [0.1, 0.2]
+    path.write_text(yaml.safe_dump(data))
+    assert main(["inspect", "--track", str(path)]) == 1
+    assert "error: spawn_band must satisfy" in capsys.readouterr().err
+
+
 def test_v1_checkpoint_is_exit_1(tmp_path, capsys):
     old = tmp_path / "v1.bin"
     old.write_bytes(b"GRCKPT\x00" + struct.pack("<I", 1) + b"\x00" * 64)

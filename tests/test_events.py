@@ -1,7 +1,7 @@
-"""`RacingEnv.detect_events` measures only the gates that can be within
-reach. These tests hold it to a full scan that measures every gate on
-every step: the same events, the same target distances, and the same
-predicate calls in the same order."""
+"""`RacingEnv.detect_events` tests each predicate only where it can fire,
+and measures only the gates that can be within reach. These tests hold
+it to a full scan that tests every gate on every step, with no distance
+filter: the same events and the same target distances."""
 
 import dataclasses
 import json
@@ -16,71 +16,48 @@ from gateracer import env as env_module
 from gateracer.config import RunConfig
 from gateracer.dynamics import DroneState, DynamicsConfig
 from gateracer.env import RacingEnv
-from gateracer.geometry import Gate, Track, default_track, norm3
+from gateracer.geometry import (Gate, Track, default_track, norm3,
+                                segment_frame_collision, segment_gate_crossing)
 
 
 def full_scan(env, prev, nxt):
-    """The oracle: `detect_events` as it was before the schedule, plus the
-    distances it passes on, each measured afresh. A step longer than
-    v_max * dt is tested within reaches widened to its own length."""
+    """The oracle: the pass predicate on the target gate and the frame
+    predicate on every gate, whatever their distance, plus the distances
+    `detect_events` passes on, each measured afresh."""
     gates = env.track.gates
-    x, y, z = nxt.position
-    px, py, pz = prev.position
-    dist = [norm3(x - cx, y - cy, z - cz)
-            for cx, cy, cz in (g.center_xyz for g in gates)]
-    pass_reach, frame_reach = env._pass_reach, env._frame_reach
-    step = norm3(x - px, y - py, z - pz)
-    if step > env._travel_bound:
-        pass_reach = [r + step for r in env._pass_radius]
-        frame_reach = [r + step for r in env._frame_radius]
     target = env.status.gates_passed
-    passed = False
-    if dist[target] < pass_reach[target]:
-        passed = env_module.segment_gate_crossing(
-            prev.position, nxt.position, gates[target]) is not None
-    collided = any(
-        env_module.segment_frame_collision(prev.position, nxt.position, gate,
+    passed = segment_gate_crossing(prev.position, nxt.position,
+                                   gates[target]) is not None
+    collided = any(segment_frame_collision(prev.position, nxt.position, gate,
                                            env.drone_radius)
-        for gate, d, reach in zip(gates, dist, frame_reach)
-        if d <= reach)
-    cx, cy, cz = gates[target].center_xyz
+                   for gate in gates)
     after = target + 1 if passed and target + 1 < len(gates) else target
-    return passed, collided, (norm3(px - cx, py - cy, pz - cz),
-                              dist[target], dist[after])
+
+    def distance(p, g):
+        (x, y, z), (cx, cy, cz) = p, gates[g].center_xyz
+        return norm3(x - cx, y - cy, z - cz)
+
+    return passed, collided, (distance(prev.position, target),
+                              distance(nxt.position, target),
+                              distance(nxt.position, after))
 
 
 class Checked:
-    """Patches the env module's predicates to record their calls, and
-    `RacingEnv.detect_events` to compare each call with `full_scan`."""
+    """Patches `RacingEnv.detect_events` to compare each call with
+    `full_scan`."""
 
     def __init__(self, mp):
-        self.calls = []
         self.steps = 0
-        for name in ("segment_gate_crossing", "segment_frame_collision"):
-            mp.setattr(env_module, name, self._recording(name))
         scheduled = RacingEnv.detect_events
 
         def detect_events(env, prev, nxt):
-            self.calls.clear()
             want = full_scan(env, prev, nxt)
-            want_calls = list(self.calls)
-            self.calls.clear()
             got = scheduled(env, prev, nxt)
             assert got == want
-            assert self.calls == want_calls
             self.steps += 1
             return got
 
         mp.setattr(RacingEnv, "detect_events", detect_events)
-
-    def _recording(self, name):
-        original = getattr(env_module, name)
-
-        def record(p0, p1, gate, *args):
-            self.calls.append((name, gate.id, tuple(p0), tuple(p1)))
-            return original(p0, p1, gate, *args)
-
-        return record
 
 
 def make_env(n_gates, seed=3):
@@ -155,33 +132,47 @@ def test_scheduled_events_match_a_full_scan(n_gates, moves, steps):
 
 def test_gate_reached_in_one_straight_step_is_measured():
     """The triangle inequality is tight on a straight flight at a gate's
-    centre: a step that ends just inside the gate's reach has flown just
-    the distance the schedule allowed, and rounding can put the summed
-    path a hair short of it. The margin covers that."""
+    centre: a step that ends just inside the frame radius, where the
+    frame predicate can first fire, has flown just the distance the
+    schedule allowed, and rounding can put the summed path a hair short
+    of it. The margin covers that: the gate is measured, and its frame
+    predicate tested, on that step."""
     rng = np.random.default_rng(0)
     with pytest.MonkeyPatch.context() as mp:
         checked = Checked(mp)
+        tested = []
+
+        def recording(p0, p1, gate, drone_radius):
+            tested.append(gate.id)
+            return segment_frame_collision(p0, p1, gate, drone_radius)
+
+        mp.setattr(env_module, "segment_frame_collision", recording)
         env = make_env(10)
         for _ in range(400):
             env.reset()
             g = int(rng.integers(1, 10))
             gate = env.track.gates[g]
-            reach = env._frame_reach[g]
+            # the frame band's farthest corner
+            radius = math.hypot(gate.frame_thickness / 2 + env.drone_radius,
+                                gate.half_width + gate.frame_thickness,
+                                gate.half_height + gate.frame_thickness)
             center = np.array(gate.center_xyz)
             ray = rng.normal(size=3)
             ray /= np.linalg.norm(ray)
-            start = state((center + rng.uniform(reach + 0.5, reach + 8.0)
+            start = state((center + rng.uniform(radius + 0.5, radius + 8.0)
                            * ray).tolist())
             # the first step measures every gate where it ends ...
             mid = state((np.asarray(start.position)
                          + rng.uniform(0.0, 0.2) * ray).tolist())
             env.detect_events(start, mid)
             # ... and the second flies straight at gate g's centre, ending
-            # within a few ulps of its reach
+            # within a few ulps of its frame radius
             rel = np.asarray(mid.position) - center
             shrink = 1.0 - rng.integers(0, 4) * 2.0 ** -52
-            end = center + rel * (reach * shrink / math.sqrt(rel @ rel))
+            end = center + rel * (radius * shrink / math.sqrt(rel @ rel))
+            tested.clear()
             env.detect_events(mid, state(end.tolist()))
+            assert g in tested
         assert checked.steps == 800
 
 

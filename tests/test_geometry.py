@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gateracer.geometry import (Gate, Track, default_track, dump_track,
                                 load_track, sample_spawn, save_track,
                                 segment_frame_collision,
-                                segment_gate_crossing)
+                                segment_gate_crossing, track_to_dict)
 
 
 def make_gate(center=(0.0, 0.0, 1.5), yaw=0.0, hw=1.5, hh=1.5, ft=0.25):
@@ -309,3 +310,55 @@ def test_track_file_roundtrip(tmp_path):
     for g1, g2 in zip(track.gates, loaded.gates):
         np.testing.assert_array_equal(g1.center, g2.center)
         assert g1.yaw == g2.yaw
+
+
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+    return edit
+
+
+def _drop(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+def _drop_gate_field(data):
+    del data["gates"][1]["half_width"]
+
+
+@pytest.mark.parametrize("edit,field", [
+    # sample_spawn's square root would take a negative number at reset
+    (_set("spawn_band", [0.1, 0.2]), "spawn_band"),
+    (_set("spawn_band", [3.5, 2.0]), "spawn_band"),
+    (_set("spawn_band", [2.0, math.inf]), "spawn_band"),
+    (_drop("spawn_band"), "spawn_band"),
+    (_set("time_limit", 0.0), "time_limit"),
+    (_set("time_limit", -5.0), "time_limit"),
+    (_drop("time_limit"), "time_limit"),
+    (_set("gates", []), "gate"),
+    (_drop("gates"), "gates"),
+    (_drop_gate_field, "half_width"),
+])
+def test_bad_track_file_names_the_field(tmp_path, edit, field):
+    data = track_to_dict(default_track(4, n_gates=3))
+    edit(data)
+    path = tmp_path / "track.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(ValueError, match=field):
+        load_track(path)
+
+
+def test_spawn_band_at_its_floor_spawns():
+    """The floor is the farthest the lateral jitter reaches: a spawn at
+    that centre distance may have none left along the normal."""
+    gate = make_gate(hw=2.0, hh=1.0)
+    floor = math.hypot(2.0, 1.0) / 2
+    track = Track(gates=[gate], spawn_band=(floor, floor))
+    for seed in range(50):
+        spawn = sample_spawn(track, 0, np.random.default_rng(seed))
+        assert np.linalg.norm(spawn.position - gate.center) == pytest.approx(
+            floor)
+    with pytest.raises(ValueError, match="spawn_band"):
+        Track(gates=[gate], spawn_band=(floor * 0.999, floor))
