@@ -89,7 +89,10 @@ def step(state: DroneState, cmd, cfg: DynamicsConfig) -> DroneState:
     velocity heading, roll/pitch are a banked-turn proxy.
     """
     dt = cfg.dt
-    c0, c1, c2 = np.asarray(cmd, dtype=np.float64).tolist()
+    # three Python floats (sample_action's list) are used as they are
+    c0, c1, c2 = cmd
+    if not type(c0) is type(c1) is type(c2) is float:
+        c0, c1, c2 = np.asarray(cmd, dtype=np.float64).tolist()
     px, py, pz = state.position
     vx, vy, vz = state.velocity
     roll0, pitch0, yaw0 = state.attitude

@@ -114,7 +114,7 @@ class RacingEnv:
             self.agent = spawn_override.copy()
         else:
             self.agent = sample_spawn(self.track, 0, self.spawn_rng)
-        self.opp = opponent.FollowerState(drone=self.agent.copy())
+        self.opp = opponent.FollowerState(position=self.agent.position)
         self.opponent_times = opponent.expected_gate_times(
             self.plan, self.agent.position)
         self.status = rewards.init_status(
@@ -128,7 +128,7 @@ class RacingEnv:
         (construct on `track_from_dict(state["track"])`, then load)."""
         return {
             "agent": dataclasses.asdict(self.agent),
-            "opponent": dataclasses.asdict(self.opp.drone),
+            "opponent": {"position": list(self.opp.position)},
             "opponent_waypoint": self.opp.waypoint_index,
             "status": dataclasses.asdict(self.status),
             "opponent_times": self.opponent_times.tolist(),
@@ -136,11 +136,12 @@ class RacingEnv:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        # keys not read here, such as the "episode_steps" that older
-        # checkpoints hold, are ignored; so is their status's "target_gate"
+        # keys older checkpoints hold but this does not read are ignored:
+        # "episode_steps", the status's "target_gate", and every field of
+        # the opponent record but "position"
         self.agent = DroneState(**state["agent"])
         self.opp = opponent.FollowerState(
-            drone=DroneState(**state["opponent"]),
+            position=tuple(map(float, state["opponent"]["position"])),
             waypoint_index=int(state["opponent_waypoint"]))
         self.status = EpisodeStatus(**{
             k: v for k, v in state["status"].items() if k != "target_gate"})
@@ -152,7 +153,7 @@ class RacingEnv:
                                 self.sensor_rng)
         gps = dynamics.read_gps(self.agent, self.dyn_cfg.gps_noise_std,
                                 self.sensor_rng)
-        return build_observation(self.agent, self.opp.drone.position,
+        return build_observation(self.agent, self.opp.position,
                                  self.status, self.track, imu, gps)
 
     def detect_events(self, prev: DroneState,

@@ -17,7 +17,7 @@ from .checkpoint import load_policy
 from .config import run_config_from_dict
 from .env import RacingEnv
 from .geometry import Track, norm3, sample_spawn, track_from_dict
-from .networks import forward, sample_action
+from .networks import forward, gaussian_head, sample_action
 from .normalization import normalize_observation
 from .rewards import TERM_ALL_GATES
 
@@ -53,13 +53,14 @@ def _lockstep(params, stats, envs, obs, action_rngs, deterministic,
     makes one actor forward over it and steps each live episode; an
     episode leaves the batch once it is over."""
     live = list(range(len(envs)))
+    head = gaussian_head(params.log_std)
     while live:
         x = normalize_observation(stats, np.array(obs)).astype(ACT_DTYPE)
-        mean, log_std = forward(params, x)
+        mean, _ = forward(params, x)
         if deterministic:
             actions = mean.tolist()
         else:
-            actions = [sample_action(m, log_std, action_rngs[k])[0]
+            actions = [sample_action(m, head, action_rngs[k])[0]
                        for k, m in zip(live, mean)]
         live = [k for k, a in zip(live, actions) if not step(k, a)]
         obs = [envs[k].observe() for k in live]
@@ -111,12 +112,12 @@ def evaluate(ckpt_state: dict, episodes: int, deterministic: bool = False,
 
 
 def race(ckpt_state: dict, episodes: int, track: Track | None = None,
-         seed: int = 0, deterministic: bool = True) -> dict:
-    """Agent and opponent step in lockstep from the same spawn; winner is
-    the first to pass every gate, ties go to the opponent. Agent
-    termination before finishing counts as a DNF. The opponent has passed
-    every gate once it has flown its whole plan, whose last waypoint is
-    the last gate's centre."""
+         seed: int = 0) -> dict:
+    """Agent and opponent step in lockstep from the same spawn, the agent
+    on its mean actions; winner is the first to pass every gate, ties go
+    to the opponent. Agent termination before finishing counts as a DNF.
+    The opponent has passed every gate once it has flown its whole plan,
+    whose last waypoint is the last gate's centre."""
     params, stats, envs, action_rngs = _setup(ckpt_state, episodes, track,
                                               seed)
     obs = [env.reset() for env in envs]
@@ -133,7 +134,7 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
             outcomes[k] = "dnf"
         return outcomes[k] is not None
 
-    _lockstep(params, stats, envs, obs, action_rngs, deterministic, step)
+    _lockstep(params, stats, envs, obs, action_rngs, True, step)
     return {"episodes": episodes, "agent_wins": outcomes.count("agent"),
             "opponent_wins": outcomes.count("opponent"),
             "agent_dnf": outcomes.count("dnf")}

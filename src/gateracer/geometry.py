@@ -26,10 +26,10 @@ def norm3(x: float, y: float, z: float) -> float:
 class Gate:
     """An upright rectangular gate; the normal is (cos yaw, sin yaw, 0).
 
-    `center` is a read-only float64 copy of what it is given. The per-step
-    predicates read `center_xyz`, its float triple, and `normal_xy`,
-    (cos yaw, sin yaw); both are rebuilt whenever `center` or `yaw` is
-    assigned, so they cannot go stale.
+    `center` is a read-only float64 copy of the 3 finite numbers it is
+    given, and `yaw` is finite. The per-step predicates read `center_xyz`,
+    its float triple, and `normal_xy`, (cos yaw, sin yaw); both are
+    rebuilt whenever `center` or `yaw` is assigned, so cannot go stale.
     """
 
     id: int
@@ -42,9 +42,14 @@ class Gate:
     def __setattr__(self, name, value):
         if name == "center":
             value = np.array(value, dtype=np.float64)
+            if value.shape != (3,) or not np.isfinite(value).all():
+                raise ValueError("gate center must be 3 finite numbers, "
+                                 f"got {value.tolist()}")
             value.flags.writeable = False
             object.__setattr__(self, "center_xyz", tuple(value.tolist()))
         elif name == "yaw":
+            if not math.isfinite(value):
+                raise ValueError(f"gate yaw must be finite, got {value!r}")
             object.__setattr__(self, "normal_xy",
                                (math.cos(value), math.sin(value)))
         object.__setattr__(self, name, value)

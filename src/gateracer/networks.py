@@ -150,20 +150,27 @@ def gaussian_entropy(log_std) -> float:
     return float(np.sum(log_std + 0.5 * (1.0 + LOG2PI)))
 
 
-def sample_action(mean, log_std, rng: np.random.Generator):
-    """(action, log_prob) for one observation's 1-D mean. The log-prob is
+def gaussian_head(log_std) -> tuple[list, list, list]:
+    """(std, 1/std, log_std) as float lists, for `sample_action`; log_std
+    changes only in the update, so a rollout makes the head once."""
+    return (np.exp(log_std).tolist(), np.exp(-log_std).tolist(),
+            log_std.tolist())
+
+
+def sample_action(mean, head, rng: np.random.Generator):
+    """(action, log_prob) for one observation's 1-D mean and the
+    `gaussian_head` of log_std; the action is a float list. The log-prob is
     summed term by term in gaussian_log_prob's order. The action is not
     bounded here: `dynamics.step` clamps each command to [-1, 1]."""
     m = mean.tolist()
-    std = np.exp(log_std).tolist()
-    inv_std = np.exp(-log_std).tolist()
+    std, inv_std, log_std = head
     eps = rng.standard_normal(len(m)).tolist()
     raw = [mi + si * ei for mi, si, ei in zip(m, std, eps)]
     total = 0.0
-    for ri, mi, ki, li in zip(raw, m, inv_std, log_std.tolist()):
+    for ri, mi, ki, li in zip(raw, m, inv_std, log_std):
         z = (ri - mi) * ki
         total += z * z + 2.0 * li + LOG2PI
-    return np.array(raw), -0.5 * total
+    return raw, -0.5 * total
 
 
 class Adam:

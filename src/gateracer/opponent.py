@@ -3,12 +3,10 @@ centers. Doubles as the expert pace source for the reward timers."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DroneState
 from .geometry import Track, norm3
 
 DEFAULT_CRUISE_SPEED = 4.0
@@ -54,9 +52,11 @@ def plan(track: Track, cruise_speed: float = DEFAULT_CRUISE_SPEED,
 
 @dataclass
 class FollowerState:
-    """Waypoint-follower progress alongside the drone kinematic state."""
+    """Waypoint-follower progress: where the follower is, a 3-tuple of
+    Python floats, and the index of the waypoint it is flying to. The
+    agent sees only the opponent's position, so nothing else is kept."""
 
-    drone: DroneState
+    position: tuple
     waypoint_index: int = 0
 
 
@@ -72,12 +72,11 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x, y, z = state.drone.position
+    x, y, z = state.position
     points = p.points
     idx = state.waypoint_index
     t_left = dt
     speed = p.cruise_speed
-    vx = vy = vz = 0.0
     while t_left > 0 and idx < len(points):
         wx, wy, wz = points[idx]
         dx, dy, dz = wx - x, wy - y, wz - z
@@ -87,29 +86,11 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
             t_left -= dist / speed
             idx += 1
             continue
-        ux, uy, uz = dx / dist, dy / dist, dz / dist
-        x += ux * speed * t_left
-        y += uy * speed * t_left
-        z += uz * speed * t_left
-        vx, vy, vz = ux * speed, uy * speed, uz * speed
+        x += dx / dist * speed * t_left
+        y += dy / dist * speed * t_left
+        z += dz / dist * speed * t_left
         t_left = 0.0
-    if idx < len(points) and t_left == 0.0:
-        wx, wy, wz = points[idx]
-        dx, dy, dz = wx - x, wy - y, wz - z
-        dist = norm3(dx, dy, dz)
-        if dist > 1e-12:
-            vx, vy, vz = (dx / dist * speed, dy / dist * speed,
-                          dz / dist * speed)
-    yaw = state.drone.yaw
-    if math.hypot(vx, vy) > 1e-9:
-        # numpy's arctan2, which differs from math.atan2 in the last bit
-        # on about one call in ten
-        yaw = float(np.arctan2(vy, vx))
-    drone = DroneState(position=(x, y, z), velocity=(vx, vy, vz),
-                       attitude=(0.0, 0.0, yaw),
-                       angular_velocity=(0.0, 0.0, 0.0),
-                       time=state.drone.time + dt)
-    return FollowerState(drone=drone, waypoint_index=idx)
+    return FollowerState(position=(x, y, z), waypoint_index=idx)
 
 
 def expected_gate_times(p: WaypointPlan, start) -> np.ndarray:

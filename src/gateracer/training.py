@@ -15,7 +15,7 @@ from .config import (RunConfig, resolve_track, run_config_from_dict,
 from .env import OBS_DIM, RacingEnv
 from .geometry import Track, track_from_dict, track_to_dict
 from .metrics import MetricsLogger, MetricsRecord
-from .networks import Adam, forward, init_policy, sample_action
+from .networks import Adam, forward, gaussian_head, init_policy, sample_action
 from .normalization import RewardScaler, RunningStats, normalize_observation
 from .ppo import RolloutBuffer, compute_gae, fill_values, ppo_update
 
@@ -106,9 +106,10 @@ class Trainer:
         cfg = self.cfg.train
         buf = RolloutBuffer(cfg.rollout_steps, OBS_DIM)
         obs_n = self._pending_obs
+        head = gaussian_head(self.params.log_std)
         for _ in range(cfg.rollout_steps):
-            mean, log_std = forward(self.params, obs_n)
-            action, logp = sample_action(mean, log_std, self.rngs["policy"])
+            mean, _ = forward(self.params, obs_n)
+            action, logp = sample_action(mean, head, self.rngs["policy"])
             reward_raw, done = self.env.step(action)
             if not math.isfinite(reward_raw):
                 raise RuntimeError(f"non-finite reward at step {self.global_step}")

@@ -409,20 +409,20 @@ def test_criterion_8_opponent_baseline(capfd):
         expected = expected_gate_times(p, spawn.position)
 
         dt = cfg.dynamics.dt
-        state = FollowerState(drone=spawn)
+        state = FollowerState(position=spawn.position)
         measured = {}
         collisions = 0
         t = 0.0
         max_steps = int(track.time_limit / dt) * 4
         for _ in range(max_steps):
-            prev = state.drone.position
+            prev = state.position
             state = advance(p, state, dt)
             t += dt
             for gate in track.gates:
                 if gate.id not in measured and segment_gate_crossing(
-                        prev, state.drone.position, gate) is not None:
+                        prev, state.position, gate) is not None:
                     measured[gate.id] = t
-                if segment_frame_collision(prev, state.drone.position, gate,
+                if segment_frame_collision(prev, state.position, gate,
                                            cfg.harness.drone_radius):
                     collisions += 1
             if len(measured) == track.n_gates:

@@ -91,6 +91,11 @@ def test_step_deterministic():
     np.testing.assert_array_equal(a.position, b.position)
     np.testing.assert_array_equal(a.velocity, b.velocity)
     np.testing.assert_array_equal(a.attitude, b.attitude)
+    # a float list, taken as given, steps to the same state as the array
+    # it came from; a list of numpy float32 scalars is converted first
+    assert step(s0, dv.tolist(), cfg) == a
+    dv32 = dv.astype(np.float32)
+    assert step(s0, list(dv32), cfg) == step(s0, dv32.tolist(), cfg)
 
 
 def test_coasting_speed_non_increasing():

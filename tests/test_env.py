@@ -54,7 +54,7 @@ def test_observation_layout():
     assert rel_yaw == pytest.approx(
         (gate.yaw - yaw + math.pi) % (2 * math.pi) - math.pi)
 
-    opp_rel = np.asarray(env.opp.drone.position) - agent.position
+    opp_rel = np.asarray(env.opp.position) - agent.position
     want_opp = [c * opp_rel[0] + s * opp_rel[1],
                 -s * opp_rel[0] + c * opp_rel[1], opp_rel[2]]
     np.testing.assert_allclose(obs[16:19], want_opp, atol=1e-12)
@@ -162,12 +162,12 @@ def test_status_on_termination():
 def test_opponent_advances_during_episode():
     env = make_env()
     env.reset()
-    p0 = env.opp.drone.position
+    p0 = env.opp.position
     for _ in range(20):
         _, done = env.step(np.zeros(3))
         if done:
             break
-    assert np.linalg.norm(np.asarray(env.opp.drone.position) - p0) > 1.0
+    assert np.linalg.norm(np.asarray(env.opp.position) - p0) > 1.0
 
 
 def test_reset_uses_spawn_band():
@@ -254,7 +254,7 @@ def test_every_drone_state_holds_float_triples():
     _assert_float_state(nxt)
     _assert_float_state(dynamics.step(nxt, [1, 0, 0], env.dyn_cfg))
     follower = opponent.advance(env.plan, env.opp, 0.05)
-    _assert_float_state(follower.drone)
+    _assert_float_triples(follower.position)
     _assert_float_state(DroneState(position=np.array([1.0, 2.0, 3.0]),
                                    velocity=np.zeros(3),
                                    attitude=np.array([0.1, 0.2, 0.3]),
@@ -266,7 +266,7 @@ def test_every_drone_state_holds_float_triples():
     other = make_env()
     other.load_state_dict(state)
     _assert_float_state(other.agent)
-    _assert_float_state(other.opp.drone)
+    _assert_float_triples(other.opp.position)
     assert json.loads(json.dumps(other.state_dict())) == state
 
     rng = np.random.default_rng(0)

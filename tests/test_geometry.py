@@ -6,6 +6,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gateracer.cli import main as cli_main
 from gateracer.geometry import (Gate, Track, default_track, dump_track,
                                 load_track, sample_spawn, save_track,
                                 segment_frame_collision,
@@ -328,6 +329,12 @@ def _drop_gate_field(data):
     del data["gates"][1]["half_width"]
 
 
+def _set_gate_field(key, value):
+    def edit(data):
+        data["gates"][1][key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit,field", [
     # sample_spawn's square root would take a negative number at reset
     (_set("spawn_band", [0.1, 0.2]), "spawn_band"),
@@ -340,14 +347,21 @@ def _drop_gate_field(data):
     (_set("gates", []), "gate"),
     (_drop("gates"), "gates"),
     (_drop_gate_field, "half_width"),
+    # eval would die on a numpy broadcast error, or fly NaN geometry
+    (_set_gate_field("center", [1.0, 2.0]), "center"),
+    (_set_gate_field("center", [1.0, math.inf, 2.0]), "center"),
+    (_set_gate_field("yaw", math.nan), "yaw"),
+    (_set_gate_field("yaw", -math.inf), "yaw"),
 ])
-def test_bad_track_file_names_the_field(tmp_path, edit, field):
+def test_bad_track_file_names_the_field(tmp_path, capsys, edit, field):
     data = track_to_dict(default_track(4, n_gates=3))
     edit(data)
     path = tmp_path / "track.yaml"
     path.write_text(yaml.safe_dump(data))
     with pytest.raises(ValueError, match=field):
         load_track(path)
+    assert cli_main(["inspect", "--track", str(path)]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_spawn_band_at_its_floor_spawns():

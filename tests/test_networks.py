@@ -7,8 +7,8 @@ from gateracer.checkpoint import load_optimizer, optimizer_entries
 from gateracer.networks import (ACTION_DIM, Adam, LOG_STD_MAX, LOG_STD_MIN,
                                 backward_batch, clip_grads_global, forward,
                                 forward_batch, gaussian_entropy,
-                                gaussian_log_prob, init_mlp, init_policy,
-                                sample_action)
+                                gaussian_head, gaussian_log_prob, init_mlp,
+                                init_policy, sample_action)
 
 
 def mlp_oracle(x, net):
@@ -151,10 +151,12 @@ def test_sample_action_statistics():
     rng = np.random.default_rng(12)
     mean = np.array([0.5, -0.2, 2.0])
     log_std = np.array([-0.5, 0.0, 0.3])
+    head = gaussian_head(log_std)
     raws = []
     for _ in range(20_000):
-        raw, logp = sample_action(mean, log_std, rng)
-        assert logp == gaussian_log_prob(raw, mean, log_std)
+        raw, logp = sample_action(mean, head, rng)
+        assert type(raw) is list and all(type(x) is float for x in raw)
+        assert logp == gaussian_log_prob(np.array(raw), mean, log_std)
         raws.append(raw)
     raws = np.array(raws)
     se = np.exp(log_std) / math.sqrt(len(raws))

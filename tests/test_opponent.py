@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gateracer.dynamics import DroneState
 from gateracer.geometry import (default_track, sample_spawn,
                                 segment_gate_crossing)
 from gateracer.opponent import (FollowerState, WaypointPlan, advance,
@@ -10,10 +9,8 @@ from gateracer.opponent import (FollowerState, WaypointPlan, advance,
 DT = 0.05
 
 
-def make_follower(pos, t=0.0):
-    return FollowerState(drone=DroneState(
-        position=np.array(pos, dtype=float), velocity=np.zeros(3),
-        attitude=np.zeros(3), angular_velocity=np.zeros(3), time=t))
+def make_follower(pos):
+    return FollowerState(position=tuple(map(float, pos)))
 
 
 def test_plan_structure():
@@ -61,13 +58,15 @@ def test_advance_reaches_gates_on_schedule():
     st = make_follower(start)
     arrivals = []
     seen = set()
+    t = 0.0
     for _ in range(20_000):
         prev_idx = st.waypoint_index
         st = advance(p, st, DT)
+        t += DT
         for idx in range(prev_idx, st.waypoint_index):
             if idx in p.gate_waypoint_indices and idx not in seen:
                 seen.add(idx)
-                arrivals.append(st.drone.time)
+                arrivals.append(t)
         if st.waypoint_index >= len(p.waypoints):
             break
     assert len(arrivals) == track.n_gates
@@ -79,8 +78,7 @@ def test_advance_hovers_after_last_waypoint():
     st = make_follower([0.0, 0.0, 0.0])
     for _ in range(50):
         st = advance(p, st, DT)
-    np.testing.assert_array_equal(st.drone.position, [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(st.drone.velocity, np.zeros(3))
+    np.testing.assert_array_equal(st.position, [1.0, 0.0, 0.0])
     assert st.waypoint_index == 1
 
 
@@ -89,10 +87,8 @@ def test_advance_constant_speed_between_waypoints():
                      cruise_speed=4.0)
     st = make_follower([0.0, 0.0, 0.0])
     st = advance(p, st, DT)
-    np.testing.assert_allclose(st.drone.position, [4.0 * DT, 0.0, 0.0],
+    np.testing.assert_allclose(st.position, [4.0 * DT, 0.0, 0.0],
                                atol=1e-12)
-    np.testing.assert_allclose(st.drone.velocity, [4.0, 0.0, 0.0])
-    assert st.drone.yaw == 0.0
 
 
 def test_advance_rejects_bad_dt():
@@ -109,7 +105,7 @@ def test_advance_deterministic():
     for _ in range(200):
         a = advance(p, a, DT)
         b = advance(p, b, DT)
-    np.testing.assert_array_equal(a.drone.position, b.drone.position)
+    np.testing.assert_array_equal(a.position, b.position)
     assert a.waypoint_index == b.waypoint_index
 
 
@@ -126,14 +122,14 @@ def test_plan_is_flown_on_the_step_its_last_gate_is_crossed(
         track = default_track(seed, spacing=spacing)
         p = plan(track, cruise_speed=cruise_speed,
                  approach_offset=approach_offset)
-        state = FollowerState(drone=sample_spawn(
-            track, 0, np.random.default_rng(seed)))
+        state = FollowerState(position=sample_spawn(
+            track, 0, np.random.default_rng(seed)).position)
         target = 0
         for _ in range(100_000):
-            prev = state.drone.position
+            prev = state.position
             state = advance(p, state, DT)
             if target < track.n_gates and segment_gate_crossing(
-                    prev, state.drone.position,
+                    prev, state.position,
                     track.gates[target]) is not None:
                 target += 1
             flown = state.waypoint_index == len(p.points)

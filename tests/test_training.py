@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from gateracer import checkpoint
 from gateracer.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gateracer.cli import main as cli_main
 from gateracer.config import RunConfig, TrackSettings
+from gateracer.dynamics import DroneState
 from gateracer.env import RacingEnv
 from gateracer.geometry import default_track, save_track, track_to_dict
 from gateracer.networks import forward_batch
@@ -408,6 +410,27 @@ def test_checkpoint_with_target_gate_and_gamma_resumes_as_before(tmp_path):
     n_gates = _crash_cfg().track.n_gates
     status["target_gate"] = min(status["gates_passed"], n_gates - 1)
     state["scalars"]["reward_scaler"]["gamma"] = _crash_cfg().train.gamma
+    save_checkpoint(path, state)
+    Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "crash",
+            resume=str(path)).train()
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert ((tmp_path / "crash" / name).read_bytes()
+                == (tmp_path / "full" / name).read_bytes()), name
+
+
+def test_checkpoint_with_a_full_opponent_record_resumes_as_before(tmp_path):
+    """Checkpoints written when the env kept the opponent's whole drone
+    state, not just its position, still resume, and the run then matches
+    an uninterrupted one byte for byte."""
+    Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "full").train()
+    path = _crash_after_seven_updates(tmp_path / "crash")
+    state = load_checkpoint(path)
+    env = state["env"]
+    assert list(env["opponent"]) == ["position"]
+    env["opponent"] = dataclasses.asdict(DroneState(
+        position=env["opponent"]["position"], velocity=(3.2, -2.4, 0.0),
+        attitude=(0.0, 0.0, -0.6435), angular_velocity=(0.0, 0.0, 0.0),
+        time=env["agent"]["time"]))
     save_checkpoint(path, state)
     Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "crash",
             resume=str(path)).train()
