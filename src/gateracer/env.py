@@ -32,7 +32,7 @@ def build_observation(agent: DroneState, opponent_gps, status: EpisodeStatus,
         raise ValueError("cannot observe a finished episode")
     gate = track.gates[status.gates_passed]
     x, y, z = agent.position
-    gx, gy, gz = gate.center_xyz
+    gx, gy, gz = gate.center
     ox, oy, oz = opponent_gps
     yaw = agent.yaw
     c, s = math.cos(yaw), math.sin(yaw)
@@ -88,7 +88,7 @@ class RacingEnv:
         self.agent: DroneState | None = None
         self.opp: opponent.FollowerState | None = None
         self.status: EpisodeStatus | None = None
-        self.opponent_times: np.ndarray | None = None
+        self.opponent_times: list[float] | None = None
         self._forget_schedule()
 
     def _forget_schedule(self) -> None:
@@ -131,7 +131,7 @@ class RacingEnv:
             "opponent": {"position": list(self.opp.position)},
             "opponent_waypoint": self.opp.waypoint_index,
             "status": dataclasses.asdict(self.status),
-            "opponent_times": self.opponent_times.tolist(),
+            "opponent_times": list(self.opponent_times),
             "track": track_to_dict(self.track),
         }
 
@@ -145,7 +145,7 @@ class RacingEnv:
             waypoint_index=int(state["opponent_waypoint"]))
         self.status = EpisodeStatus(**{
             k: v for k, v in state["status"].items() if k != "target_gate"})
-        self.opponent_times = np.array(state["opponent_times"])
+        self.opponent_times = [float(t) for t in state["opponent_times"]]
         self._forget_schedule()
 
     def observe(self) -> np.ndarray:
@@ -177,7 +177,7 @@ class RacingEnv:
         x, y, z = nxt.position
         gates = self.track.gates
         target = self.status.gates_passed
-        cx, cy, cz = gates[target].center_xyz
+        cx, cy, cz = gates[target].center
         step = norm3(x - px, y - py, z - pz)
         if prev.position != self._position or target != self._target:
             self._forget_schedule()
@@ -199,7 +199,7 @@ class RacingEnv:
         if passed:
             after += 1
             if after < len(gates):
-                cx, cy, cz = gates[after].center_xyz
+                cx, cy, cz = gates[after].center
                 d_after = norm3(x - cx, y - cy, z - cz)
                 due[after] = math.inf
             due[target] = travel + d_next - frame_reach[target]
@@ -211,7 +211,7 @@ class RacingEnv:
                 elif g == after:
                     d = d_after
                 elif due[g] <= travel:
-                    cx, cy, cz = gate.center_xyz
+                    cx, cy, cz = gate.center
                     d = norm3(x - cx, y - cy, z - cz)
                     due[g] = travel + d - frame_reach[g]
                 else:

@@ -56,7 +56,7 @@ def _lockstep(params, stats, envs, obs, action_rngs, deterministic,
     head = gaussian_head(params.log_std)
     while live:
         x = normalize_observation(stats, np.array(obs)).astype(ACT_DTYPE)
-        mean, _ = forward(params, x)
+        mean = forward(params, x)
         if deterministic:
             actions = mean.tolist()
         else:
@@ -71,7 +71,7 @@ def _displaced_spawn(track: Track, rng, spawn_distance, yaw_error):
     the off-nominal recovery evaluation."""
     spawn = sample_spawn(track, 0, rng)
     if spawn_distance is not None:
-        center = track.gates[0].center.tolist()
+        center = track.gates[0].center
         to_gate = [c - p for c, p in zip(center, spawn.position)]
         d = norm3(*to_gate)
         spawn = replace(spawn, position=[c - t / d * spawn_distance
@@ -126,7 +126,7 @@ def race(ckpt_state: dict, episodes: int, track: Track | None = None,
     def step(k, action):
         env = envs[k]
         _, done = env.step(action)
-        if env.opp.waypoint_index == len(env.plan.points):
+        if env.opp.waypoint_index == len(env.plan.waypoints):
             outcomes[k] = "opponent"  # ties break to the opponent
         elif done and env.status.done == TERM_ALL_GATES:
             outcomes[k] = "agent"

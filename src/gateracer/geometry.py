@@ -4,7 +4,7 @@ frame-collision predicates, and the track file format."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -22,41 +22,35 @@ def norm3(x: float, y: float, z: float) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gate:
     """An upright rectangular gate; the normal is (cos yaw, sin yaw, 0).
 
-    `center` is a read-only float64 copy of the 3 finite numbers it is
-    given, and `yaw` is finite. The per-step predicates read `center_xyz`,
-    its float triple, and `normal_xy`, (cos yaw, sin yaw); both are
-    rebuilt whenever `center` or `yaw` is assigned, so cannot go stale.
-    """
+    `center` is the float triple of the 3 finite numbers it is given, and
+    `yaw` is finite. The per-step predicates read `center` and
+    `normal_xy`, (cos yaw, sin yaw); the gate is frozen, so neither can
+    go stale."""
 
     id: int
-    center: np.ndarray
+    center: tuple
     yaw: float
     half_width: float = DEFAULT_HALF_WIDTH
     half_height: float = DEFAULT_HALF_HEIGHT
     frame_thickness: float = DEFAULT_FRAME_THICKNESS
-
-    def __setattr__(self, name, value):
-        if name == "center":
-            value = np.array(value, dtype=np.float64)
-            if value.shape != (3,) or not np.isfinite(value).all():
-                raise ValueError("gate center must be 3 finite numbers, "
-                                 f"got {value.tolist()}")
-            value.flags.writeable = False
-            object.__setattr__(self, "center_xyz", tuple(value.tolist()))
-        elif name == "yaw":
-            if not math.isfinite(value):
-                raise ValueError(f"gate yaw must be finite, got {value!r}")
-            object.__setattr__(self, "normal_xy",
-                               (math.cos(value), math.sin(value)))
-        object.__setattr__(self, name, value)
+    normal_xy: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        center = np.array(self.center, dtype=np.float64)
+        if center.shape != (3,) or not np.isfinite(center).all():
+            raise ValueError("gate center must be 3 finite numbers, "
+                             f"got {center.tolist()}")
+        if not math.isfinite(self.yaw):
+            raise ValueError(f"gate yaw must be finite, got {self.yaw!r}")
         if self.half_width <= 0 or self.half_height <= 0 or self.frame_thickness <= 0:
             raise ValueError("gate extents must be positive")
+        # frozen: the fields are written to the instance dict directly
+        vars(self).update(center=tuple(center.tolist()),
+                          normal_xy=(math.cos(self.yaw), math.sin(self.yaw)))
 
     @property
     def normal(self) -> np.ndarray:
@@ -112,7 +106,7 @@ def default_track(seed: int, n_gates: int = 10,
     heading = rng.uniform(-math.pi, math.pi)
     z0 = min(max(1.5, z_range[0]), z_range[1])
     center = np.array([0.0, 0.0, z0])
-    gates.append(Gate(id=0, center=center.copy(), yaw=heading))
+    gates.append(Gate(id=0, center=center, yaw=heading))
     for i in range(1, n_gates):
         heading += rng.uniform(-math.pi / 4, math.pi / 4)
         dist = rng.uniform(spacing[0], spacing[1])
@@ -124,7 +118,7 @@ def default_track(seed: int, n_gates: int = 10,
         horiz = math.sqrt(dist * dist - dz * dz)
         center = center + np.array(
             [horiz * math.cos(heading), horiz * math.sin(heading), dz])
-        gates.append(Gate(id=i, center=center.copy(), yaw=heading))
+        gates.append(Gate(id=i, center=center, yaw=heading))
     return Track(gates=gates, time_limit=time_per_gate * n_gates)
 
 
@@ -138,7 +132,7 @@ def segment_gate_crossing(p0, p1, gate: Gate):
     """
     x0, y0, z0 = p0
     x1, y1, z1 = p1
-    cx, cy, cz = gate.center_xyz
+    cx, cy, cz = gate.center
     nx, ny = gate.normal_xy
     d0 = (x0 - cx) * nx + (y0 - cy) * ny
     d1 = (x1 - cx) * nx + (y1 - cy) * ny
@@ -152,7 +146,7 @@ def segment_gate_crossing(p0, p1, gate: Gate):
     u = -(px - cx) * ny + (py - cy) * nx
     v = pz - cz
     if abs(u) <= gate.half_width and abs(v) <= gate.half_height:
-        return np.array([px, py, pz])
+        return (px, py, pz)
     return None
 
 
@@ -180,7 +174,7 @@ def segment_frame_collision(p0, p1, gate: Gate, drone_radius: float) -> bool:
         raise ValueError("drone_radius must be positive")
     x0, y0, z0 = p0
     x1, y1, z1 = p1
-    cx, cy, cz = gate.center_xyz
+    cx, cy, cz = gate.center
     nx, ny = gate.normal_xy
     rx0 = x0 - cx
     ry0 = y0 - cy
@@ -253,7 +247,7 @@ def track_to_dict(track: Track) -> dict:
         "gates": [
             {
                 "id": g.id,
-                "center": [float(x) for x in g.center],
+                "center": list(g.center),
                 "yaw": float(g.yaw),
                 "half_width": float(g.half_width),
                 "half_height": float(g.half_height),
@@ -272,7 +266,7 @@ def track_from_dict(data: dict) -> Track:
         gates = [
             Gate(
                 id=int(g["id"]),
-                center=np.array(g["center"], dtype=np.float64),
+                center=g["center"],
                 yaw=float(g["yaw"]),
                 half_width=float(g["half_width"]),
                 half_height=float(g["half_height"]),

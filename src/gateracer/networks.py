@@ -102,16 +102,16 @@ def _mlp_forward(x, w1, b1, w2, b2, w3, b3, w4, b4):
 
 
 def forward(params: PolicyParams, obs: np.ndarray):
-    """(mean, log_std) of the action distribution, from the actor alone,
-    for one observation `(obs_dim,)` or a batch `(n, obs_dim)`; the mean
-    is `(action_dim,)` or `(n, action_dim)` to match. The critic is not
+    """Mean of the action distribution, from the actor alone, for one
+    observation `(obs_dim,)` or a batch `(n, obs_dim)`; the mean is
+    `(action_dim,)` or `(n, action_dim)` to match. The critic is not
     needed to act; training evaluates it batched once per rollout
     (ppo.fill_values)."""
     obs = np.asarray(obs, dtype=params.actor[0].dtype)
     if obs.ndim not in (1, 2) or obs.shape[-1] != params.obs_dim:
         raise ValueError(f"expected obs shape ({params.obs_dim},) or "
                          f"(n, {params.obs_dim}), got {obs.shape}")
-    return _mlp_forward(obs, *params.actor)[3], params.log_std.copy()
+    return _mlp_forward(obs, *params.actor)[3]
 
 
 def forward_batch(net: list[np.ndarray], obs: np.ndarray):

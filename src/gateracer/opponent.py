@@ -3,9 +3,7 @@ centers. Doubles as the expert pace source for the reward timers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .geometry import Track, norm3
 
@@ -15,19 +13,18 @@ DEFAULT_APPROACH_OFFSET = 1.0
 
 @dataclass
 class WaypointPlan:
-    waypoints: np.ndarray  # (n, 3)
+    """The follower's polyline: float triples, flown in order. In a plan
+    made by `plan`, gate k's centre is waypoint 2k + 1."""
+
+    waypoints: list
     cruise_speed: float = DEFAULT_CRUISE_SPEED
-    gate_waypoint_indices: list[int] = field(default_factory=list)
-    # the waypoints as float triples, for the per-step advance
-    points: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.waypoints = np.asarray(self.waypoints, dtype=np.float64)
+        self.waypoints = [tuple(map(float, w)) for w in self.waypoints]
         if len(self.waypoints) == 0:
             raise ValueError("plan needs at least one waypoint")
         if self.cruise_speed <= 0:
             raise ValueError("cruise_speed must be positive")
-        self.points = self.waypoints.tolist()
 
 
 def plan(track: Track, cruise_speed: float = DEFAULT_CRUISE_SPEED,
@@ -35,19 +32,14 @@ def plan(track: Track, cruise_speed: float = DEFAULT_CRUISE_SPEED,
     """Each gate contributes an approach point (offset back along the
     inbound normal, guaranteeing a normal-direction crossing) followed by
     the gate center."""
-    if track.n_gates < 1:
-        raise ValueError("track has no gates")
     waypoints = []
-    gate_indices = []
     for gate in track.gates:
-        waypoints.append(gate.center - approach_offset * gate.normal)
-        waypoints.append(gate.center.copy())
-        gate_indices.append(len(waypoints) - 1)
-    return WaypointPlan(
-        waypoints=np.array(waypoints),
-        cruise_speed=cruise_speed,
-        gate_waypoint_indices=gate_indices,
-    )
+        cx, cy, cz = gate.center
+        nx, ny = gate.normal_xy
+        waypoints.append((cx - approach_offset * nx,
+                          cy - approach_offset * ny, cz))
+        waypoints.append(gate.center)
+    return WaypointPlan(waypoints=waypoints, cruise_speed=cruise_speed)
 
 
 @dataclass
@@ -70,10 +62,8 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
     current one would skip up to radius/speed seconds per waypoint.) After
     the last waypoint: hover.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     x, y, z = state.position
-    points = p.points
+    points = p.waypoints
     idx = state.waypoint_index
     t_left = dt
     speed = p.cruise_speed
@@ -93,16 +83,15 @@ def advance(p: WaypointPlan, state: FollowerState, dt: float) -> FollowerState:
     return FollowerState(position=(x, y, z), waypoint_index=idx)
 
 
-def expected_gate_times(p: WaypointPlan, start) -> np.ndarray:
-    """Cumulative polyline distance / cruise speed at each gate-center
-    waypoint; strictly increasing for any valid plan."""
-    prev = np.asarray(start, dtype=np.float64).tolist()
+def expected_gate_times(p: WaypointPlan, start) -> list[float]:
+    """Cumulative polyline distance / cruise speed at each gate centre,
+    the odd waypoints; strictly increasing for any valid plan."""
+    px, py, pz = start
     cum = 0.0
     times = []
-    gate_set = set(p.gate_waypoint_indices)
-    for i, wp in enumerate(p.points):
-        cum += norm3(wp[0] - prev[0], wp[1] - prev[1], wp[2] - prev[2])
-        prev = wp
-        if i in gate_set:
+    for i, (x, y, z) in enumerate(p.waypoints):
+        cum += norm3(x - px, y - py, z - pz)
+        px, py, pz = x, y, z
+        if i % 2:
             times.append(cum / p.cruise_speed)
-    return np.array(times)
+    return times

@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .dynamics import DroneState
 from .geometry import Track, norm3
 
@@ -66,13 +64,12 @@ def resolved_time_limit(cfg: RewardConfig, track: Track) -> float:
     return cfg.time_limit if cfg.time_limit is not None else track.time_limit
 
 
-def init_status(track: Track, opponent_times, cfg: RewardConfig,
-                t0: float = 0.0) -> EpisodeStatus:
-    opponent_times = np.asarray(opponent_times, dtype=np.float64)
+def init_status(track: Track, opponent_times: list[float],
+                cfg: RewardConfig, t0: float = 0.0) -> EpisodeStatus:
     if len(opponent_times) != track.n_gates:
         raise ValueError("opponent_times length must equal gate count")
     return EpisodeStatus(
-        gate_deadline=t0 + cfg.timer_multiplier * float(opponent_times[0]),
+        gate_deadline=t0 + cfg.timer_multiplier * opponent_times[0],
     )
 
 
@@ -95,7 +92,7 @@ def check_termination(target_distance: float, state: DroneState,
 
 def compute_step(distances: tuple, next_state: DroneState,
                  status: EpisodeStatus, passed: bool, collided: bool,
-                 cfg: RewardConfig, opponent_times,
+                 cfg: RewardConfig, opponent_times: list[float],
                  track: Track) -> tuple[float, EpisodeStatus]:
     """One reward/progress transition. `passed` and `collided` are this
     step's geometric facts: the target gate was crossed, a frame was
@@ -117,9 +114,9 @@ def compute_step(distances: tuple, next_state: DroneState,
         reward += cfg.pass_reward
         new.gates_passed += 1
         if new.gates_passed < track.n_gates:
-            times = np.asarray(opponent_times, dtype=np.float64)
-            budget = cfg.timer_multiplier * float(
-                times[new.gates_passed] - times[new.gates_passed - 1])
+            budget = cfg.timer_multiplier * (
+                opponent_times[new.gates_passed]
+                - opponent_times[new.gates_passed - 1])
             new.gate_deadline = next_state.time + budget
 
     if collided:
@@ -129,7 +126,7 @@ def compute_step(distances: tuple, next_state: DroneState,
     if (not passed and new.gates_passed > 0
             and next_state.time > new.gate_deadline):
         x, y, z = next_state.position
-        cx, cy, cz = track.gates[new.gates_passed - 1].center_xyz
+        cx, cy, cz = track.gates[new.gates_passed - 1].center
         if norm3(x - cx, y - cy, z - cz) < cfg.proximity_radius:
             reward += cfg.stuck_penalty
 

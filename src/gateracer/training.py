@@ -108,7 +108,7 @@ class Trainer:
         obs_n = self._pending_obs
         head = gaussian_head(self.params.log_std)
         for _ in range(cfg.rollout_steps):
-            mean, _ = forward(self.params, obs_n)
+            mean = forward(self.params, obs_n)
             action, logp = sample_action(mean, head, self.rngs["policy"])
             reward_raw, done = self.env.step(action)
             if not math.isfinite(reward_raw):

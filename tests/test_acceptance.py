@@ -60,7 +60,7 @@ def mini_track():
     track = default_track(MINI_TRACK_SEED, n_gates=3, spacing=(10.0, 12.0),
                           max_climb=0.5, time_per_gate=12.0)
     for a, b in zip(track.gates[:-1], track.gates[1:]):
-        d = float(np.linalg.norm(b.center - a.center))
+        d = float(np.linalg.norm(np.subtract(b.center, a.center)))
         assert 10.0 <= d <= 12.0
     return track
 

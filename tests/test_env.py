@@ -41,7 +41,7 @@ def test_observation_layout():
     np.testing.assert_array_equal(obs[9:12], agent.position)
 
     gate = env.track.gates[0]
-    rel = gate.center - agent.position
+    rel = np.subtract(gate.center, agent.position)
     yaw = agent.yaw
     c, s = math.cos(yaw), math.sin(yaw)
     want = [c * rel[0] + s * rel[1], -s * rel[0] + c * rel[1], rel[2]]
@@ -174,7 +174,8 @@ def test_reset_uses_spawn_band():
     env = make_env()
     for _ in range(50):
         env.reset()
-        d = np.linalg.norm(env.agent.position - env.track.gates[0].center)
+        d = np.linalg.norm(np.subtract(env.agent.position,
+                                       env.track.gates[0].center))
         assert 2.0 <= d <= 3.5
         assert env.status.gates_passed == 0
 

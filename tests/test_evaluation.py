@@ -123,7 +123,7 @@ def test_race_outcomes(tmp_path, heading, cruise_speed, outcome):
 
 def test_displaced_spawn_sets_distance_and_yaw_offset(monkeypatch):
     track = default_track(3, n_gates=3)
-    center = track.gates[0].center.copy()
+    center = np.asarray(track.gates[0].center)
     drawn = []
 
     def recording_spawn(*args):
@@ -205,9 +205,9 @@ def test_actor_acts_in_float32_on_a_copy(noisy_state, monkeypatch):
     seen = []
 
     def spy(params, obs):
-        mean, log_std = networks.forward(params, obs)
+        mean = networks.forward(params, obs)
         seen.append((params.actor, obs, mean))
-        return mean, log_std
+        return mean
 
     monkeypatch.setattr(evaluation, "forward", spy)
     for run in _runs(noisy_state, seed=2):
@@ -234,8 +234,8 @@ def test_episode_outcome_does_not_depend_on_the_episode_count(noisy_state,
             made.append(self)
 
     def rowwise(params, obs):
-        return (np.array([networks._mlp_forward(row, *params.actor)[3]
-                          for row in obs]), params.log_std.copy())
+        return np.array([networks._mlp_forward(row, *params.actor)[3]
+                         for row in obs])
 
     monkeypatch.setattr(evaluation, "RacingEnv", RecordedEnv)
     monkeypatch.setattr(evaluation, "forward", rowwise)

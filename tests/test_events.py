@@ -34,7 +34,7 @@ def full_scan(env, prev, nxt):
     after = target + 1 if passed and target + 1 < len(gates) else target
 
     def distance(p, g):
-        (x, y, z), (cx, cy, cz) = p, gates[g].center_xyz
+        (x, y, z), (cx, cy, cz) = p, gates[g].center
         return norm3(x - cx, y - cy, z - cz)
 
     return passed, collided, (distance(prev.position, target),
@@ -114,7 +114,7 @@ def test_scheduled_events_match_a_full_scan(n_gates, moves, steps):
                 gate, offset, velocity = args
                 gate = env.track.gates[gate % n_gates]
                 env.agent = state(
-                    [c + 5.0 * o for c, o in zip(gate.center_xyz, offset)],
+                    [c + 5.0 * o for c, o in zip(gate.center, offset)],
                     [3.0 * v_max * v for v in velocity], env.agent.time)
             for _ in range(steps if kind in ("command", "pursue") else 0):
                 if kind == "command":
@@ -156,7 +156,7 @@ def test_gate_reached_in_one_straight_step_is_measured():
             radius = math.hypot(gate.frame_thickness / 2 + env.drone_radius,
                                 gate.half_width + gate.frame_thickness,
                                 gate.half_height + gate.frame_thickness)
-            center = np.array(gate.center_xyz)
+            center = np.array(gate.center)
             ray = rng.normal(size=3)
             ray /= np.linalg.norm(ray)
             start = state((center + rng.uniform(radius + 0.5, radius + 8.0)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,7 +12,8 @@ from gateracer.cli import main as cli_main
 from gateracer.geometry import (Gate, Track, default_track, dump_track,
                                 load_track, sample_spawn, save_track,
                                 segment_frame_collision,
-                                segment_gate_crossing, track_to_dict)
+                                segment_gate_crossing, track_from_dict,
+                                track_to_dict)
 
 
 def make_gate(center=(0.0, 0.0, 1.5), yaw=0.0, hw=1.5, hh=1.5, ft=0.25):
@@ -63,7 +66,8 @@ def test_default_track_deterministic():
 def test_default_track_spacing_and_count(seed):
     track = default_track(seed)
     assert track.n_gates == 10
-    dists = [np.linalg.norm(track.gates[i + 1].center - track.gates[i].center)
+    dists = [np.linalg.norm(np.subtract(track.gates[i + 1].center,
+                                     track.gates[i].center))
              for i in range(9)]
     assert len(dists) == 9
     assert all(10.0 <= d <= 15.0 for d in dists)
@@ -73,16 +77,14 @@ def test_default_track_spacing_and_count(seed):
 def test_spacing_below_max_climb_bounds_the_climb(seed):
     # the default max_climb (1 m) exceeds every spacing here
     track = default_track(seed, spacing=(0.1, 0.2))
-    dists = [np.linalg.norm(b.center - a.center)
+    dists = [np.linalg.norm(np.subtract(b.center, a.center))
              for a, b in zip(track.gates[:-1], track.gates[1:])]
     assert all(0.1 - 1e-12 <= d <= 0.2 + 1e-12 for d in dists)
 
 
 def test_track_gate_id_invariant():
-    gates = [make_gate()]
-    gates[0].id = 3
     with pytest.raises(ValueError):
-        Track(gates=gates)
+        Track(gates=[Gate(id=3, center=(0.0, 0.0, 1.5), yaw=0.0)])
 
 
 # --- segment_gate_crossing --------------------------------------------
@@ -109,27 +111,23 @@ def test_crossing_wrong_direction():
     assert p is None
 
 
-def test_moved_gate_is_seen_by_the_predicates():
+def test_gate_keeps_its_own_centre_and_is_frozen():
     """The predicates read the centre and normal that a gate keeps as
-    floats; assigning `center` or `yaw` rebuilds them, and the centre
-    array cannot be changed in place."""
+    floats: the gate copies the centre it is given, and no field of it
+    can be assigned."""
     source = np.array([0.0, 0.0, 1.5])
     gate = make_gate(center=source)
-    source[0] = 5.0  # the gate holds its own copy
-    assert gate.center_xyz == (0.0, 0.0, 1.5)
-    with pytest.raises(ValueError):
-        gate.center[0] = 5.0
+    source[0] = 5.0
+    assert gate.center == (0.0, 0.0, 1.5)
+    assert all(type(c) is float for c in gate.center)
     p0, p1 = np.array([4.0, 0.0, 1.5]), np.array([6.0, 0.0, 1.5])
     assert segment_gate_crossing(p0, p1, gate) is None
-    gate.center = [5.0, 0.0, 1.5]
-    assert gate.center_xyz == (5.0, 0.0, 1.5)
-    assert segment_gate_crossing(p0, p1, gate) is not None
-    gate.yaw = math.pi  # now the segment goes the wrong way
-    assert gate.normal_xy == (math.cos(math.pi), math.sin(math.pi))
-    assert segment_gate_crossing(p0, p1, gate) is None
-    assert segment_gate_crossing(p1, p0, gate) is not None
-    assert segment_frame_collision(np.array([4.0, 1.6, 1.5]),
-                                   np.array([6.0, 1.6, 1.5]), gate, 0.3)
+    for name, value in (("center", (5.0, 0.0, 1.5)), ("yaw", math.pi),
+                        ("id", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gate, name, value)
+    assert (gate.id, gate.center, gate.yaw) == (0, (0.0, 0.0, 1.5), 0.0)
+    assert gate.normal_xy == (1.0, 0.0)
 
 
 def test_degenerate_segment():
@@ -231,7 +229,7 @@ def test_crossing_and_collision_mutually_consistent():
         point = segment_gate_crossing(p0, p1, gate)
         if point is None:
             continue
-        u = (point - gate.center) @ gate.u_axis
+        u = np.subtract(point, gate.center) @ gate.u_axis
         v = point[2] - gate.center[2]
         in_inner = abs(u) <= gate.half_width and abs(v) <= gate.half_height
         assert in_inner
@@ -271,7 +269,7 @@ def test_spawn_distance_band_and_ks():
     dists = []
     for _ in range(10_000):
         st = sample_spawn(track, 0, rng)
-        d = np.linalg.norm(st.position - track.gates[0].center)
+        d = np.linalg.norm(np.subtract(st.position, track.gates[0].center))
         assert 2.0 <= d <= 3.5
         dists.append(d)
     # Kolmogorov-Smirnov statistic against Uniform(2.0, 3.5)
@@ -290,7 +288,7 @@ def test_spawn_deterministic_and_facing():
     b = sample_spawn(track, 2, np.random.default_rng(5))
     np.testing.assert_array_equal(a.position, b.position)
     assert np.all(np.asarray(a.velocity) == 0.0)
-    to_gate = track.gates[2].center - a.position
+    to_gate = np.subtract(track.gates[2].center, a.position)
     assert abs(math.atan2(to_gate[1], to_gate[0]) - a.yaw) < 1e-12
 
 
@@ -307,10 +305,20 @@ def test_track_file_roundtrip(tmp_path):
     path = tmp_path / "track.yaml"
     save_track(track, path)
     loaded = load_track(path)
+    assert loaded == track
     assert dump_track(loaded) == dump_track(track)
     for g1, g2 in zip(track.gates, loaded.gates):
         np.testing.assert_array_equal(g1.center, g2.center)
         assert g1.yaw == g2.yaw
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 999])
+@pytest.mark.parametrize("n_gates", [1, 3, 10])
+def test_track_json_roundtrip(seed, n_gates):
+    """A checkpoint stores its track as JSON and rebuilds it from there."""
+    track = default_track(seed, n_gates=n_gates)
+    data = json.loads(json.dumps(track_to_dict(track)))
+    assert track_from_dict(data) == track
 
 
 def _set(key, value):
@@ -372,7 +380,7 @@ def test_spawn_band_at_its_floor_spawns():
     track = Track(gates=[gate], spawn_band=(floor, floor))
     for seed in range(50):
         spawn = sample_spawn(track, 0, np.random.default_rng(seed))
-        assert np.linalg.norm(spawn.position - gate.center) == pytest.approx(
-            floor)
+        d = np.linalg.norm(np.subtract(spawn.position, gate.center))
+        assert d == pytest.approx(floor)
     with pytest.raises(ValueError, match="spawn_band"):
         Track(gates=[gate], spawn_band=(floor * 0.999, floor))

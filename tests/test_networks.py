@@ -40,7 +40,7 @@ def test_forward_single_matches_batch(dtype):
     params64 = init_policy(rng, obs_dim=6, hidden=8)
     params = params64.astype(dtype)
     obs = rng.standard_normal(6)
-    mean, log_std = forward(params, obs)
+    mean = forward(params, obs)
     *hidden, m_batch = forward_batch(params.actor, obs[None, :])
     _, _, _, v_batch = forward_batch(params.critic, obs[None, :])
     for out in (mean, *hidden, m_batch, v_batch):
@@ -58,7 +58,6 @@ def test_forward_single_matches_batch(dtype):
         np.testing.assert_allclose(m_batch[0], want, rtol=1e-5)
         np.testing.assert_allclose(v_batch[0],
                                    mlp_oracle(obs, params64.critic), rtol=1e-5)
-    np.testing.assert_array_equal(log_std, params.log_std)
 
 
 def test_forward_rejects_wrong_shape():
@@ -72,12 +71,11 @@ def test_forward_rejects_wrong_shape():
 def test_forward_accepts_one_observation_or_a_batch(shape):
     params = init_policy(np.random.default_rng(0), obs_dim=21, hidden=8)
     obs = np.random.default_rng(1).standard_normal(shape)
-    mean, log_std = forward(params, obs)
+    mean = forward(params, obs)
     assert mean.shape == shape[:-1] + (3,)
-    np.testing.assert_array_equal(log_std, params.log_std)
     # a batch's rows are the single-observation means
     for row, m in zip(np.atleast_2d(obs), np.atleast_2d(mean)):
-        np.testing.assert_allclose(forward(params, row)[0], m, rtol=1e-12)
+        np.testing.assert_allclose(forward(params, row), m, rtol=1e-12)
 
 
 def test_backward_matches_finite_differences():

