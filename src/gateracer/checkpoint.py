@@ -2,9 +2,8 @@
 member holding the JSON sections, the format version and a manifest of the
 arrays, and one 1-D little-endian `.npy` member per dtype (`float64.npy`,
 `float32.npy`) holding that dtype's arrays back to back, in manifest order.
-`zipfile` checks each member's CRC-32 as it reads it. Version-2 files, with
-one `.npy` member per array, still load. Also the policy's and the
-optimizer's layouts inside them."""
+`zipfile` checks each member's CRC-32 as it reads it. Also the policy's
+and the optimizer's layouts inside them."""
 
 from __future__ import annotations
 
@@ -85,7 +84,7 @@ def load_checkpoint(path) -> dict:
         magic = fh.read(len(_V1_PREFIX))
         if magic == _V1_PREFIX:
             raise CheckpointError("checkpoint format version mismatch: "
-                                  f"expected {FORMAT_VERSION} or 2, found 1")
+                                  f"expected {FORMAT_VERSION}, found 1")
         if not magic.startswith(b"PK\x03\x04"):
             raise CheckpointError("not a checkpoint file (bad magic)")
         # zipfile finds the end-of-archive record anywhere near the end, so
@@ -99,30 +98,21 @@ def load_checkpoint(path) -> dict:
             with zipfile.ZipFile(fh) as zf:
                 header = json.loads(zf.read(_HEADER_MEMBER))
                 version = header["format_version"]
-                if version == 2:
-                    arrays = _read_v2_arrays(zf, header["arrays"])
-                elif version == FORMAT_VERSION:
-                    arrays = _read_arrays(zf, header["arrays"])
-                else:
+                if version != FORMAT_VERSION:
                     raise CheckpointError(
                         "checkpoint format version mismatch: expected "
-                        f"{FORMAT_VERSION} or 2, found {version}")
+                        f"{FORMAT_VERSION}, found {version}")
                 state = {name: header[name] for name in _JSON_KEYS}
-                state["arrays"] = arrays
+                state["arrays"] = _read_arrays(zf, header["arrays"])
         except _READ_ERRORS as exc:
             raise CheckpointError(
                 f"checkpoint file is corrupt: {exc!r}") from exc
     return state
 
 
-def _check_members(zf: zipfile.ZipFile, members: list) -> None:
-    if sorted(zf.namelist()) != sorted([_HEADER_MEMBER] + members):
-        raise CheckpointError("zip members do not match the manifest")
-
-
 def _manifest_groups(manifest) -> dict:
-    """The version-3 manifest checked and split by dtype: dtype ->
-    [(name, shape)] in write order, for the dtypes it holds."""
+    """The manifest checked and split by dtype: dtype -> [(name, shape)]
+    in write order, for the dtypes it holds."""
     if not isinstance(manifest, list):
         raise CheckpointError("the array manifest is not a list")
     groups, seen = {}, set()
@@ -144,10 +134,11 @@ def _manifest_groups(manifest) -> dict:
 
 
 def _read_arrays(zf: zipfile.ZipFile, manifest) -> dict:
-    """Version 3: each dtype member's arrays, each read into its own
-    allocation."""
+    """Each dtype member's arrays, each read into its own allocation."""
     groups = _manifest_groups(manifest)
-    _check_members(zf, [f"{dtype}.npy" for dtype in groups])
+    if sorted(zf.namelist()) != sorted(
+            [_HEADER_MEMBER] + [f"{dtype}.npy" for dtype in groups]):
+        raise CheckpointError("zip members do not match the manifest")
     arrays = {}
     for dtype, group in groups.items():
         member = f"{dtype}.npy"
@@ -168,19 +159,6 @@ def _read_arrays(zf: zipfile.ZipFile, manifest) -> dict:
                 if fh.readinto(buf) != len(buf):
                     raise CheckpointError(f"array '{name}' is cut short")
                 arrays[name] = a
-    return arrays
-
-
-def _read_v2_arrays(zf: zipfile.ZipFile, names) -> dict:
-    """Version 2: one `.npy` member per array."""
-    _check_members(zf, [f"{n}.npy" for n in names])
-    arrays = {}
-    for name in names:
-        with zf.open(f"{name}.npy") as fh:
-            arrays[name] = npy_format.read_array(fh, allow_pickle=False)
-            # reading to the end is what makes zipfile check the CRC
-            if fh.read():
-                raise CheckpointError(f"trailing bytes in array '{name}'")
     return arrays
 
 
@@ -216,9 +194,7 @@ def optimizer_entries(adam: Adam):
 
 
 def load_optimizer(state: dict, params: PolicyParams) -> Adam:
-    """Inverse of optimizer_entries on a loaded state, for `params`.
-    Float64 moments, as older checkpoints hold them, are rounded to
-    float32 here, once."""
+    """Inverse of optimizer_entries on a loaded state, for `params`."""
     adam = Adam([p.shape for p in params.flat_list()])
     adam.t = int(state["scalars"]["adam_t"])
     for name, moment in optimizer_entries(adam)[0].items():

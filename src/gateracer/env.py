@@ -136,15 +136,13 @@ class RacingEnv:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        # keys older checkpoints hold but this does not read are ignored:
-        # "episode_steps", the status's "target_gate", and every field of
-        # the opponent record but "position"
+        # older opponent records hold a whole drone state: only its
+        # position is read
         self.agent = DroneState(**state["agent"])
         self.opp = opponent.FollowerState(
             position=tuple(map(float, state["opponent"]["position"])),
             waypoint_index=int(state["opponent_waypoint"]))
-        self.status = EpisodeStatus(**{
-            k: v for k, v in state["status"].items() if k != "target_gate"})
+        self.status = EpisodeStatus(**state["status"])
         self.opponent_times = [float(t) for t in state["opponent_times"]]
         self._forget_schedule()
 

@@ -26,10 +26,10 @@ def norm3(x: float, y: float, z: float) -> float:
 class Gate:
     """An upright rectangular gate; the normal is (cos yaw, sin yaw, 0).
 
-    `center` is the float triple of the 3 finite numbers it is given, and
-    `yaw` is finite. The per-step predicates read `center` and
-    `normal_xy`, (cos yaw, sin yaw); the gate is frozen, so neither can
-    go stale."""
+    `center` is the float triple of the 3 finite numbers it is given,
+    `yaw` is finite and each extent positive and finite. The per-step
+    predicates read `center` and `normal_xy`, (cos yaw, sin yaw); the
+    gate is frozen, so neither can go stale."""
 
     id: int
     center: tuple
@@ -46,8 +46,11 @@ class Gate:
                              f"got {center.tolist()}")
         if not math.isfinite(self.yaw):
             raise ValueError(f"gate yaw must be finite, got {self.yaw!r}")
-        if self.half_width <= 0 or self.half_height <= 0 or self.frame_thickness <= 0:
-            raise ValueError("gate extents must be positive")
+        for name in ("half_width", "half_height", "frame_thickness"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"gate {name} must be positive and finite, "
+                                 f"got {value!r}")
         # frozen: the fields are written to the instance dict directly
         vars(self).update(center=tuple(center.tolist()),
                           normal_xy=(math.cos(self.yaw), math.sin(self.yaw)))
@@ -170,8 +173,6 @@ def segment_frame_collision(p0, p1, gate: Gate, drone_radius: float) -> bool:
     |dist| <= frame_thickness/2 + radius and its in-plane offsets fall in
     the annulus between the inner opening and the outer rectangle.
     """
-    if drone_radius <= 0:
-        raise ValueError("drone_radius must be positive")
     x0, y0, z0 = p0
     x1, y1, z1 = p1
     cx, cy, cz = gate.center

@@ -108,7 +108,6 @@ class RewardScaler:
                 "m2": self.m2}
 
     def load_state_dict(self, d: dict) -> None:
-        # gamma stays the constructor's; older checkpoints' "gamma" is unread
         self.ret = float(d["ret"])
         self.count = float(d["count"])
         self.mean = float(d["mean"])

@@ -3,6 +3,7 @@ centers. Doubles as the expert pace source for the reward timers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import Track, norm3
@@ -21,6 +22,10 @@ class WaypointPlan:
 
     def __post_init__(self):
         self.waypoints = [tuple(map(float, w)) for w in self.waypoints]
+        for i, w in enumerate(self.waypoints):
+            if len(w) != 3 or not all(map(math.isfinite, w)):
+                raise ValueError(f"waypoint {i} must be 3 finite numbers, "
+                                 f"got {w}")
         if len(self.waypoints) == 0:
             raise ValueError("plan needs at least one waypoint")
         if self.cruise_speed <= 0:

@@ -264,7 +264,7 @@ class Trainer:
         self.global_step = int(c["global_step"])
         self.episode_count = int(c["episode_count"])
         self.update_count = int(c["update_count"])
-        self._last_update_stats = c.get("last_update_stats")
+        self._last_update_stats = c["last_update_stats"]
         self.env = self._make_env(track_from_dict(state["env"]["track"]))
         self.env.load_state_dict(state["env"])
         self._pending_obs = state["arrays"]["pending_obs"]

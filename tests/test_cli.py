@@ -1,5 +1,6 @@
 import json
 import struct
+import zipfile
 
 import pytest
 import yaml
@@ -95,11 +96,26 @@ def test_track_file_with_a_short_spawn_band_is_exit_1(tmp_path, capsys):
     assert "error: spawn_band must satisfy" in capsys.readouterr().err
 
 
-def test_v1_checkpoint_is_exit_1(tmp_path, capsys):
-    old = tmp_path / "v1.bin"
-    old.write_bytes(b"GRCKPT\x00" + struct.pack("<I", 1) + b"\x00" * 64)
-    assert main(["eval", "--ckpt", str(old), "--episodes", "1"]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_v1_checkpoint_is_exit_1(tmp_path, capsys, trained_ckpt):
+    """Files of the older formats, version 1 and a saved checkpoint whose
+    header is rewritten to version 2, are refused naming both versions."""
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(b"GRCKPT\x00" + struct.pack("<I", 1) + b"\x00" * 64)
+    v2 = tmp_path / "v2.bin"
+    with zipfile.ZipFile(trained_ckpt) as src, zipfile.ZipFile(v2, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == "checkpoint.json":
+                header = json.loads(data)
+                header["format_version"] = 2
+                data = json.dumps(header)
+            dst.writestr(info, data)
+    for path, version in ((v1, 1), (v2, 2)):
+        for argv in (["eval", "--ckpt", str(path), "--episodes", "1"],
+                     ["inspect", "--ckpt", str(path)]):
+            assert main(argv) == 1
+            assert ("error: checkpoint format version mismatch: expected 3, "
+                    f"found {version}") in capsys.readouterr().err
 
 
 def test_removed_arrival_radius_is_unknown_key(tmp_path, capsys):

@@ -167,12 +167,6 @@ def test_collision_mid_frame():
     assert segment_frame_collision(p - gate.normal, p + gate.normal, gate, 0.3)
 
 
-def test_collision_requires_positive_radius():
-    gate = make_gate()
-    with pytest.raises(ValueError):
-        segment_frame_collision(np.zeros(3), np.ones(3), gate, 0.0)
-
-
 def test_collision_vs_dense_oracle():
     gate = make_gate()
     rng = np.random.default_rng(999)
@@ -360,6 +354,10 @@ def _set_gate_field(key, value):
     (_set_gate_field("center", [1.0, math.inf, 2.0]), "center"),
     (_set_gate_field("yaw", math.nan), "yaw"),
     (_set_gate_field("yaw", -math.inf), "yaw"),
+    # a NaN extent would turn the gate's frame or passage test off
+    (_set_gate_field("frame_thickness", math.nan), "frame_thickness"),
+    (_set_gate_field("frame_thickness", math.inf), "frame_thickness"),
+    (_set_gate_field("half_width", math.nan), "half_width"),
 ])
 def test_bad_track_file_names_the_field(tmp_path, capsys, edit, field):
     data = track_to_dict(default_track(4, n_gates=3))

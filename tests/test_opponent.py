@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,10 @@ def test_plan_validation():
         WaypointPlan(waypoints=np.zeros((0, 3)))
     with pytest.raises(ValueError):
         WaypointPlan(waypoints=np.zeros((2, 3)), cruise_speed=0.0)
+    with pytest.raises(ValueError, match="waypoint 0 must be 3 finite"):
+        WaypointPlan(waypoints=[[1.0, 2.0]])
+    with pytest.raises(ValueError, match="waypoint 1 must be 3 finite"):
+        WaypointPlan(waypoints=[[0.0, 0.0, 1.0], [1.0, math.nan, 1.0]])
 
 
 def test_expected_times_vs_cumulative_distance():

@@ -398,26 +398,6 @@ def test_checkpoint_without_metrics_length_resumes_as_before(tmp_path):
     assert (tmp_path / "metrics.jsonl").read_bytes() == before
 
 
-def test_checkpoint_with_target_gate_and_gamma_resumes_as_before(tmp_path):
-    """Checkpoints written when the env status held its target gate and
-    the reward scaler its gamma still resume, and the run then matches an
-    uninterrupted one byte for byte."""
-    Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "full").train()
-    path = _crash_after_seven_updates(tmp_path / "crash")
-    state = load_checkpoint(path)
-    status = state["env"]["status"]
-    assert "target_gate" not in status
-    n_gates = _crash_cfg().track.n_gates
-    status["target_gate"] = min(status["gates_passed"], n_gates - 1)
-    state["scalars"]["reward_scaler"]["gamma"] = _crash_cfg().train.gamma
-    save_checkpoint(path, state)
-    Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "crash",
-            resume=str(path)).train()
-    for name in ("metrics.jsonl", "checkpoint.bin"):
-        assert ((tmp_path / "crash" / name).read_bytes()
-                == (tmp_path / "full" / name).read_bytes()), name
-
-
 def test_checkpoint_with_a_full_opponent_record_resumes_as_before(tmp_path):
     """Checkpoints written when the env kept the opponent's whole drone
     state, not just its position, still resume, and the run then matches
