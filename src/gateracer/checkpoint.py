@@ -203,5 +203,8 @@ def load_optimizer(state: dict, params: PolicyParams) -> Adam:
             found = "missing" if a is None else f"of shape {a.shape}"
             raise CheckpointError(f"checkpoint array '{name}' is {found}; its "
                                   f"parameter is of shape {moment.shape}")
+        if a.dtype != moment.dtype:
+            raise CheckpointError(f"checkpoint array '{name}' is {a.dtype}; "
+                                  f"an Adam moment is {moment.dtype}")
         moment[...] = a
     return adam

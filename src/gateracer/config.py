@@ -4,18 +4,19 @@
 from __future__ import annotations
 
 import dataclasses
-import math
-import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
 import yaml
 
+from .domains import (COUNT, FLAG, NATURAL, NON_NEGATIVE, POSITIVE,
+                      ConfigBlock, Domain)
 from .dynamics import DynamicsConfig
 from .geometry import Track, default_track, load_track
 from .opponent import DEFAULT_APPROACH_OFFSET, DEFAULT_CRUISE_SPEED
 from .ppo import TrainConfig
 from .rewards import RewardConfig
+from .telemetry import DEFAULT_QUEUE_SIZE
 
 
 class ConfigError(Exception):
@@ -23,15 +24,9 @@ class ConfigError(Exception):
 
 
 @dataclass
-class OpponentSettings:
-    cruise_speed: float = DEFAULT_CRUISE_SPEED
-    approach_offset: float = DEFAULT_APPROACH_OFFSET
-
-    def __post_init__(self):
-        if not 0 < self.cruise_speed < math.inf:
-            raise ValueError("cruise_speed must be positive and finite")
-        if not 0 <= self.approach_offset < math.inf:
-            raise ValueError("approach_offset must be non-negative and finite")
+class OpponentSettings(ConfigBlock):
+    cruise_speed: float = POSITIVE(DEFAULT_CRUISE_SPEED)
+    approach_offset: float = NON_NEGATIVE(DEFAULT_APPROACH_OFFSET)
 
 
 # a procedural track takes about 16 us and 0.4 KB per gate to build, so a
@@ -40,38 +35,28 @@ MAX_GATES = 1000
 
 
 @dataclass
-class TrackSettings:
-    file: Optional[str] = None  # load this track file when set
-    seed: int = 0               # otherwise generate procedurally
-    n_gates: int = 10
-    spacing: tuple = (10.0, 15.0)
-    randomize_per_episode: bool = False  # fixed track is the default
+class TrackSettings(ConfigBlock):
+    # load this track file when set
+    file: Optional[str] = Domain(kind=str, nullable=True)(None)
+    seed: int = NATURAL(0)  # otherwise generate procedurally
+    n_gates: int = Domain(f"in [1, {MAX_GATES}]",
+                          lambda v: 1 <= v <= MAX_GATES, int)(10)
+    spacing: tuple = POSITIVE((10.0, 15.0))
+    randomize_per_episode: bool = FLAG(False)  # fixed track is the default
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not 1 <= self.n_gates <= MAX_GATES:
-            raise ValueError(f"n_gates must be in [1, {MAX_GATES}], "
-                             f"got {self.n_gates}")
+        super().__post_init__()
         lo, hi = self.spacing
-        if not 0 < lo <= hi < math.inf:
-            raise ValueError("spacing must be [min, max] with "
-                             f"0 < min <= max < inf, got {list(self.spacing)}")
+        if not lo <= hi:
+            raise ValueError("spacing must be [min, max] with min <= max, "
+                             f"got {list(self.spacing)}")
 
 
 @dataclass
-class HarnessConfig:
-    checkpoint_interval: int = 5  # updates between checkpoints
-    drone_radius: float = 0.3
-    metrics_queue_size: int = 4096
-
-    def __post_init__(self):
-        for name in ("checkpoint_interval", "metrics_queue_size"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
-        # a NaN radius would never register a collision
-        if not 0 < self.drone_radius < math.inf:
-            raise ValueError("drone_radius must be positive and finite")
+class HarnessConfig(ConfigBlock):
+    checkpoint_interval: int = COUNT(5)  # updates between checkpoints
+    drone_radius: float = POSITIVE(0.3)  # a NaN one never collides
+    metrics_queue_size: int = COUNT(DEFAULT_QUEUE_SIZE)
 
 
 @dataclass
@@ -88,58 +73,15 @@ class RunConfig:
 _BLOCKS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# field type -> (what it takes, test); a bool is never a number
-_KINDS = {
-    int: ("an integer",
-          lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", _is_number),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _type_error(tp, default, v) -> str | None:
-    """None when v fits a field of type tp, else what the field takes. A
-    tuple field takes as many numbers as its default holds; an Optional
-    field also takes null."""
-    if tp is tuple:
-        if (isinstance(v, tuple) and len(v) == len(default)
-                and all(map(_is_number, v))):
-            return None
-        return f"{len(default)} numbers"
-    args = typing.get_args(tp)
-    optional = type(None) in args
-    if optional:
-        tp = next(a for a in args if a is not type(None))
-    what, fits = _KINDS[tp]
-    if fits(v) or (optional and v is None):
-        return None
-    return what + " or null" if optional else what
-
-
 def _build_block(cls, data: dict, name: str):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - fields
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' block: "
                           f"{sorted(unknown, key=repr)}")
-    types = typing.get_type_hints(cls)
-    coerced = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        v = data[f.name]
-        if isinstance(v, list):
-            v = tuple(v)
-        expected = _type_error(types[f.name], f.default, v)
-        if expected:
-            raise ConfigError(f"invalid '{name}' block: {f.name} must be "
-                              f"{expected}, got {v!r}")
-        coerced[f.name] = v
+    # a YAML list is a tuple field's value
+    coerced = {k: tuple(v) if isinstance(v, list) else v
+               for k, v in data.items()}
     try:
         return cls(**coerced)
     except (TypeError, ValueError) as exc:

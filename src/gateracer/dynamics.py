@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .domains import NON_NEGATIVE, POSITIVE, ConfigBlock
 from .geometry import norm3
 
 GRAVITY = 9.81
@@ -47,29 +48,15 @@ class DroneState:
 
 
 @dataclass
-class DynamicsConfig:
-    tau: float = 0.3
-    command_scale: float = 2.0
-    v_max: float = 15.0
-    yaw_rate_max: float = float(np.pi)
-    dt: float = 0.05
+class DynamicsConfig(ConfigBlock):
+    tau: float = POSITIVE(0.3)
+    command_scale: float = POSITIVE(2.0)
+    v_max: float = POSITIVE(15.0)
+    yaw_rate_max: float = POSITIVE(float(np.pi))
+    dt: float = POSITIVE(0.05)
     # 3 linear-velocity stds, 3 angular-velocity stds, 1 shared attitude std
-    imu_noise_std: tuple = (0.0,) * 7
-    gps_noise_std: float = 0.0
-
-    def __post_init__(self):
-        for name in ("tau", "dt", "v_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.command_scale < math.inf:
-            raise ValueError("command_scale must be positive and finite")
-        imu = self.imu_noise_std
-        if (not isinstance(imu, (tuple, list)) or len(imu) != 7
-                or not all(isinstance(x, (int, float)) and x >= 0 for x in imu)):
-            raise ValueError("imu_noise_std must be 7 non-negative numbers, "
-                             f"got {imu!r}")
-        if not self.gps_noise_std >= 0:
-            raise ValueError("gps_noise_std must be non-negative")
+    imu_noise_std: tuple = NON_NEGATIVE((0.0,) * 7)
+    gps_noise_std: float = NON_NEGATIVE(0.0)
 
 
 @dataclass

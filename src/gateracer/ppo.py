@@ -19,50 +19,35 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import (COUNT, FLAG, NATURAL, NON_NEGATIVE, POSITIVE,
+                      POSITIVE_OR_NULL, ConfigBlock, Domain)
 from .networks import (Adam, PolicyParams, backward_batch, clip_grads_global,
                        forward_batch, gaussian_entropy, gaussian_log_prob,
                        LOG_STD_MAX, LOG_STD_MIN)
 
 
 @dataclass
-class TrainConfig:
-    learning_rate: float = 1e-4
-    rollout_steps: int = 2048
-    minibatch_size: int = 256
-    epochs_per_update: int = 10
-    clip_epsilon: float = 0.2
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    value_coef: float = 0.5
-    entropy_coef: float = 0.0
-    max_grad_norm: float = 0.5
-    total_steps: int = 1_000_000
-    target_kl: float | None = None  # optional early stop, off by default
-    lr_decay: bool = False
+class TrainConfig(ConfigBlock):
+    learning_rate: float = POSITIVE(1e-4)
+    rollout_steps: int = COUNT(2048)
+    minibatch_size: int = COUNT(256)
+    epochs_per_update: int = COUNT(10)
+    clip_epsilon: float = Domain("in (0, 1)", lambda v: 0 < v < 1)(0.2)
+    gamma: float = Domain("in (0, 1]", lambda v: 0 < v <= 1)(0.99)
+    gae_lambda: float = Domain("in [0, 1]", lambda v: 0 <= v <= 1)(0.95)
+    value_coef: float = NON_NEGATIVE(0.5)
+    entropy_coef: float = NON_NEGATIVE(0.0)
+    max_grad_norm: float = POSITIVE(0.5)  # a negative one flips the step
+    total_steps: int = NATURAL(1_000_000)
+    target_kl: float | None = POSITIVE_OR_NULL(None)  # early stop if set
+    lr_decay: bool = FLAG(False)
 
     def __post_init__(self):
-        for name in ("rollout_steps", "minibatch_size", "epochs_per_update"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        # a negative max_grad_norm would flip every gradient's sign
-        for name in ("learning_rate", "max_grad_norm"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if self.target_kl is not None and not self.target_kl > 0:
-            raise ValueError("target_kl must be null or positive")
-        if not self.value_coef >= 0:
-            raise ValueError("value_coef must be non-negative")
-        if not (0 < self.clip_epsilon < 1):
-            raise ValueError("clip_epsilon must be in (0, 1)")
-        if not (0 < self.gamma <= 1):
-            raise ValueError("gamma must be in (0, 1]")
-        if not (0 <= self.gae_lambda <= 1):
-            raise ValueError("gae_lambda must be in [0, 1]")
+        super().__post_init__()
         if self.rollout_steps % self.minibatch_size != 0:
             raise ValueError("minibatch_size must divide rollout_steps")
 

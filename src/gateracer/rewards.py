@@ -4,10 +4,11 @@ stuck penalty, and episode termination rules."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .domains import (AT_LEAST_ONE, COUNT, FINITE, NON_POSITIVE, POSITIVE,
+                      POSITIVE_OR_NULL, ConfigBlock)
 from .dynamics import DroneState
 from .geometry import Track, norm3
 
@@ -19,36 +20,23 @@ TERM_TIME_LIMIT = "time_limit"
 
 
 @dataclass
-class RewardConfig:
-    progress_coef: float = 1.0
-    proximity_bonus: float = 0.1
-    pass_reward: float = 50.0
-    collision_penalty: float = -10.0
-    stuck_penalty: float = -0.5
-    timer_multiplier: float = 2.0
-    proximity_radius: float = 3.0
-    pass_check_radius: float = 0.5
-    max_divergence: float = 20.0
-    collision_limit: int = 5
-    time_limit: Optional[float] = None  # None: use the track's
+class RewardConfig(ConfigBlock):
+    progress_coef: float = FINITE(1.0)
+    proximity_bonus: float = FINITE(0.1)
+    pass_reward: float = POSITIVE(50.0)
+    collision_penalty: float = NON_POSITIVE(-10.0)
+    stuck_penalty: float = NON_POSITIVE(-0.5)
+    timer_multiplier: float = AT_LEAST_ONE(2.0)
+    proximity_radius: float = POSITIVE(3.0)
+    pass_check_radius: float = POSITIVE(0.5)
+    max_divergence: float = POSITIVE(20.0)
+    collision_limit: int = COUNT(5)
+    time_limit: Optional[float] = POSITIVE_OR_NULL(None)  # None: the track's
 
     def __post_init__(self):
-        # each test is written so that a NaN fails it
-        if not (self.proximity_radius > self.pass_check_radius > 0):
-            raise ValueError("need proximity_radius > pass_check_radius > 0")
-        if not 0 < self.pass_reward < math.inf:
-            raise ValueError("pass_reward must be positive and finite")
-        for name in ("collision_penalty", "stuck_penalty"):
-            if not -math.inf < getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be finite and <= 0")
-        if not 1 <= self.timer_multiplier < math.inf:
-            raise ValueError("timer_multiplier must be finite and >= 1")
-        if not self.max_divergence > 0:
-            raise ValueError("max_divergence must be positive")
-        if not self.collision_limit >= 1:
-            raise ValueError("collision_limit must be at least 1")
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be null or positive")
+        super().__post_init__()
+        if not self.proximity_radius > self.pass_check_radius:
+            raise ValueError("proximity_radius must exceed pass_check_radius")
 
 
 @dataclass

@@ -9,6 +9,8 @@ import socket
 import threading
 
 _SENTINEL = None
+# records a client may fall behind by before it is dropped
+DEFAULT_QUEUE_SIZE = 4096
 
 
 class _Client:
@@ -57,7 +59,8 @@ class MetricsServer:
     """Accepts TCP clients; each receives every record published after it
     connected, newline-delimited JSON, no further framing."""
 
-    def __init__(self, host: str, port: int, queue_size: int = 4096):
+    def __init__(self, host: str, port: int,
+                 queue_size: int = DEFAULT_QUEUE_SIZE):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.sock.bind((host, port))

@@ -187,6 +187,20 @@ def test_bad_config_value_is_exit_1(tmp_path, capsys):
     ("opponent", "cruise_speed", float("nan")),
     ("opponent", "approach_offset", -1),
     ("opponent", "approach_offset", float("inf")),
+    ("dynamics", "yaw_rate_max", float("nan")),
+    ("dynamics", "yaw_rate_max", -1),
+    ("dynamics", "tau", float("inf")),
+    ("dynamics", "dt", float("inf")),
+    ("dynamics", "gps_noise_std", float("inf")),
+    ("dynamics", "imu_noise_std", [0.0] * 6 + [float("inf")]),
+    ("reward", "progress_coef", float("nan")),
+    ("reward", "proximity_bonus", float("nan")),
+    ("reward", "max_divergence", float("inf")),
+    ("train", "entropy_coef", float("nan")),
+    ("train", "total_steps", -5),
+    ("train", "value_coef", float("inf")),
+    ("train", "target_kl", float("inf")),
+    pytest.param("dynamics", "tau", 10**400, id="dynamics-tau-10**400"),
 ])
 def test_non_positive_config_value_is_exit_1(tmp_path, capsys, block, key,
                                              value):
