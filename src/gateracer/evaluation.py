@@ -3,9 +3,9 @@
 Both step all their episodes in lockstep: each episode has its own env
 and its own spawn, sensor and action streams, and each lockstep step
 makes one actor forward over the episodes still running, down to the
-last one. The actor acts in float32, on a copy of its weights: its
-forward is bound by reading them. Normalization, sampling and the
-dynamics stay float64."""
+last one. The actor acts on its stored float32 weights, with no copy:
+its forward is bound by reading them. Normalization and the dynamics
+stay float64."""
 
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ from .networks import forward, gaussian_head, sample_action
 from .normalization import normalize_observation
 from .rewards import TERM_ALL_GATES
 
-ACT_DTYPE = np.float32
-
 
 def _setup(ckpt_state: dict, episodes: int, track: Track | None, seed: int):
     """Frozen policy, and one env and action stream per episode. The seed
@@ -32,7 +30,6 @@ def _setup(ckpt_state: dict, episodes: int, track: Track | None, seed: int):
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
     params, stats = load_policy(ckpt_state, frozen=True)
-    params.actor = [a.astype(ACT_DTYPE) for a in params.actor]
     cfg = run_config_from_dict(ckpt_state["config"])
     track = track or track_from_dict(ckpt_state["track"])
     envs, action_rngs = [], []
@@ -55,8 +52,8 @@ def _lockstep(params, stats, envs, obs, action_rngs, deterministic,
     live = list(range(len(envs)))
     head = gaussian_head(params.log_std)
     while live:
-        x = normalize_observation(stats, np.array(obs)).astype(ACT_DTYPE)
-        mean = forward(params, x)
+        mean = forward(params.actor,
+                       normalize_observation(stats, np.array(obs)))
         if deterministic:
             actions = mean.tolist()
         else:

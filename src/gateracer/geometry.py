@@ -87,9 +87,9 @@ class Track:
             raise ValueError(f"spawn_band must satisfy {least:g} <= lo <= hi "
                              f"< inf, got [{lo:g}, {hi:g}]")
         self.spawn_band = (lo, hi)
-        if not self.time_limit > 0:
-            raise ValueError(
-                f"time_limit must be positive, got {self.time_limit!r}")
+        if not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be positive and finite, "
+                             f"got {self.time_limit!r}")
 
     @property
     def n_gates(self) -> int:

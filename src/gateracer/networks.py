@@ -1,12 +1,12 @@
 """From-scratch actor/critic MLPs (3 hidden tanh layers), the diagonal
 Gaussian action head, and an adaptive-moment optimizer.
 
-The parameters are float64, and so is acting in training; the
-optimizer's moments are float32. The MLP functions compute in the dtype
-of the weights they are given, casting the input to it, which lets the
-PPO update run its minibatches and evaluation act in float32.
-`Adam.step` can step a run of the arrays at a named step number, so that
-the update steps actor and critic on two threads at once."""
+The parameters and the optimizer's moments are float32; `_policy_layout`
+sets the parameters' dtype for `init_policy` and `load_policy` alike.
+The MLP functions compute in the dtype of the weights they are given,
+casting the input to it. `Adam.step` can step a run of the arrays at a
+named step number, so that the update steps actor and critic on two
+threads at once."""
 
 from __future__ import annotations
 
@@ -22,13 +22,13 @@ LOG_STD_MAX = 2.0
 LOG2PI = math.log(2.0 * math.pi)
 
 
-def _init_layout(a) -> np.ndarray:
-    """A float64 copy in the policy's memory order: Fortran for a wide
-    matrix (init builds it as a transposed QR factor), C otherwise. BLAS
+def _policy_layout(a) -> np.ndarray:
+    """A float32 copy in the policy's memory order: Fortran for a wide
+    matrix (init draws it as a transposed QR factor), C otherwise. BLAS
     sums in a different order per layout, so restored weights must take
     the same one to stay bit-identical to the run that saved them."""
     wide = np.ndim(a) == 2 and a.shape[0] < a.shape[1]
-    return np.array(a, dtype=np.float64, order="F" if wide else "C")
+    return np.array(a, dtype=np.float32, order="F" if wide else "C")
 
 
 def _orthogonal(rng: np.random.Generator, shape, gain: float) -> np.ndarray:
@@ -36,14 +36,14 @@ def _orthogonal(rng: np.random.Generator, shape, gain: float) -> np.ndarray:
     q, r = np.linalg.qr(a if shape[0] >= shape[1] else a.T)
     q = q * np.sign(np.diag(r))
     if shape[0] < shape[1]:
-        q = q.T
-    return _init_layout(gain * q[: shape[0], : shape[1]])
+        q = q.T  # Fortran-ordered, as _policy_layout keeps it
+    return gain * q[: shape[0], : shape[1]]
 
 
 def init_mlp(rng: np.random.Generator, in_dim: int, hidden: int,
              out_dim: int, final_gain: float) -> list[np.ndarray]:
-    """Weights/biases [W1, b1, ..., W4, b4]; orthogonal init, sqrt(2) gain
-    on hidden layers, final_gain on the output layer."""
+    """Weights/biases [W1, b1, ..., W4, b4] in float64; orthogonal init,
+    sqrt(2) gain on hidden layers, final_gain on the output layer."""
     sizes = [in_dim, hidden, hidden, hidden, out_dim]
     params = []
     for i in range(4):
@@ -59,10 +59,6 @@ class PolicyParams:
     log_std: np.ndarray
     critic: list[np.ndarray]
 
-    @property
-    def obs_dim(self) -> int:
-        return self.actor[0].shape[0]
-
     def flat_list(self) -> list[np.ndarray]:
         """Canonical parameter ordering used by the optimizer and the
         checkpoint format."""
@@ -70,26 +66,27 @@ class PolicyParams:
 
     @classmethod
     def from_flat_list(cls, flat) -> "PolicyParams":
-        """Inverse of flat_list(); copies into the init memory layout."""
-        flat = [_init_layout(a) for a in flat]
+        """Inverse of flat_list(); copies into the policy's layout."""
+        flat = [_policy_layout(a) for a in flat]
         n = (len(flat) - 1) // 2
         return cls(actor=flat[:n], log_std=flat[n], critic=flat[n + 1:])
 
-    def astype(self, dtype) -> "PolicyParams":
-        """A copy in `dtype`; each array keeps its memory order."""
-        return PolicyParams(
-            actor=[a.astype(dtype) for a in self.actor],
-            log_std=self.log_std.astype(dtype),
-            critic=[c.astype(dtype) for c in self.critic],
-        )
+
+def draw_policy(rng: np.random.Generator, obs_dim: int,
+                hidden: int = HIDDEN_SIZE,
+                action_dim: int = ACTION_DIM) -> PolicyParams:
+    """The initial parameters as drawn, in float64, for numerical checks."""
+    actor = init_mlp(rng, obs_dim, hidden, action_dim, final_gain=0.01)
+    critic = init_mlp(rng, obs_dim, hidden, 1, final_gain=1.0)
+    return PolicyParams(actor=actor, log_std=np.zeros(action_dim), critic=critic)
 
 
 def init_policy(rng: np.random.Generator, obs_dim: int,
                 hidden: int = HIDDEN_SIZE,
                 action_dim: int = ACTION_DIM) -> PolicyParams:
-    actor = init_mlp(rng, obs_dim, hidden, action_dim, final_gain=0.01)
-    critic = init_mlp(rng, obs_dim, hidden, 1, final_gain=1.0)
-    return PolicyParams(actor=actor, log_std=np.zeros(action_dim), critic=critic)
+    """draw_policy's parameters, stored in float32."""
+    return PolicyParams.from_flat_list(
+        draw_policy(rng, obs_dim, hidden, action_dim).flat_list())
 
 
 def _mlp_forward(x, w1, b1, w2, b2, w3, b3, w4, b4):
@@ -101,17 +98,18 @@ def _mlp_forward(x, w1, b1, w2, b2, w3, b3, w4, b4):
     return h1, h2, h3, np.dot(h3, w4) + b4
 
 
-def forward(params: PolicyParams, obs: np.ndarray):
-    """Mean of the action distribution, from the actor alone, for one
-    observation `(obs_dim,)` or a batch `(n, obs_dim)`; the mean is
-    `(action_dim,)` or `(n, action_dim)` to match. The critic is not
-    needed to act; training evaluates it batched once per rollout
-    (ppo.fill_values)."""
-    obs = np.asarray(obs, dtype=params.actor[0].dtype)
-    if obs.ndim not in (1, 2) or obs.shape[-1] != params.obs_dim:
-        raise ValueError(f"expected obs shape ({params.obs_dim},) or "
-                         f"(n, {params.obs_dim}), got {obs.shape}")
-    return _mlp_forward(obs, *params.actor)[3]
+def forward(actor: list[np.ndarray], obs: np.ndarray):
+    """Mean of the action distribution, from the actor's arrays, for one
+    observation `(obs_dim,)` or a batch `(n, obs_dim)`, in the actor's
+    dtype; the mean is `(action_dim,)` or `(n, action_dim)` to match.
+    The critic is not needed to act; training evaluates it batched once
+    per rollout (ppo.fill_values)."""
+    obs = np.asarray(obs, dtype=actor[0].dtype)
+    obs_dim = actor[0].shape[0]
+    if obs.ndim not in (1, 2) or obs.shape[-1] != obs_dim:
+        raise ValueError(f"expected obs shape ({obs_dim},) or "
+                         f"(n, {obs_dim}), got {obs.shape}")
+    return _mlp_forward(obs, *actor)[3]
 
 
 def forward_batch(net: list[np.ndarray], obs: np.ndarray):
@@ -174,9 +172,8 @@ def sample_action(mean, head, rng: np.random.Generator):
 
 
 class Adam:
-    """First/second-moment adaptive steps with bias correction. The
-    moments are float32, like the update's gradients; the step is
-    computed in float32 and subtracted from the float64 parameters."""
+    """First/second-moment adaptive steps with bias correction; the
+    moments and the step are float32, like the parameters it updates."""
 
     def __init__(self, shapes, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):

@@ -92,10 +92,11 @@ def fill_values(buffer: RolloutBuffer, critic: list[np.ndarray],
                 next_obs: np.ndarray, chunk: int) -> RolloutBuffer:
     """Set values = V(obs) and bootstrap_value = V(next_obs), or 0 when
     the last step ended an episode. One critic pass over the stored
-    observations plus next_obs, in chunks of `chunk` rows so the hidden
-    activations stay minibatch-sized. BLAS runs one thread here too: after
-    a two-thread product, OpenBLAS's own thread spins for about 0.13 s of
-    CPU, and the update that follows would share the second core with it."""
+    observations plus next_obs, in the critic's dtype, in chunks of
+    `chunk` rows so the hidden activations stay minibatch-sized. BLAS runs
+    one thread here too: after a two-thread product, OpenBLAS's own thread
+    spins for about 0.13 s of CPU, and the update that follows would share
+    the second core with it."""
     if not buffer.full:
         raise ValueError("buffer must be full before computing values")
     obs = np.vstack([buffer.obs, next_obs])
@@ -300,11 +301,11 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
     buffer, mutating params in place. theta_old lives in the stored
     log-probs and stays fixed for the whole update.
 
-    Each minibatch's forward and backward run in float32 on a fresh
-    float32 copy of the parameters, and its float32 gradients go straight
-    to clipping and to Adam, whose moments are float32 too; only the
-    parameters themselves stay float64 (mixed precision against master
-    weights, Micikevicius et al. 2018).
+    Each minibatch's forward and backward run in float32 on the float32
+    parameters themselves, and its float32 gradients go straight to
+    clipping and to Adam, whose moments are float32 too. The buffer stays
+    float64: its observations are cast to float32 once per update, and
+    the other columns as the halves read their rows.
 
     After each minibatch's clip, the worker takes the critic's Adam step
     and then the next value half, while the caller takes the actor's step
@@ -328,8 +329,8 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
         if critic_grads is not None:
             adam.step(flat[k:], critic_grads, lr, t=t, first=k)
         if idx is not None:
-            return _value_half([c.astype(np.float32) for c in params.critic],
-                               obs[idx], buffer.returns[idx], cfg)
+            return _value_half(params.critic, obs[idx], buffer.returns[idx],
+                               cfg)
 
     agg: dict[str, float] = {}
     n_batches = 0
@@ -338,10 +339,8 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
         value = submit(value_job, None, None, idx)
         while idx is not None:
             policy = _policy_half(
-                [a.astype(np.float32) for a in params.actor],
-                params.log_std.astype(np.float32), obs[idx],
-                buffer.actions[idx], buffer.log_probs[idx],
-                buffer.advantages[idx], cfg)
+                params.actor, params.log_std, obs[idx], buffer.actions[idx],
+                buffer.log_probs[idx], buffer.advantages[idx], cfg)
             loss, grads, stats = _join_halves(*policy, *value.result(), cfg)
             if not np.isfinite(loss):
                 raise RuntimeError(

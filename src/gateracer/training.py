@@ -37,8 +37,8 @@ def _truncate_to_checkpoint(metrics_path: str, ckpt_path: str,
     """Cut records written after the checkpoint (by a run that crashed
     before its next save) from the metrics log beside that checkpoint,
     so that the resumed run does not write them twice."""
-    length = state["scalars"].get("metrics_bytes")
-    if (length is not None and os.path.exists(metrics_path)
+    length = state["scalars"]["metrics_bytes"]
+    if (os.path.exists(metrics_path)
             and os.path.samefile(os.path.dirname(os.path.abspath(ckpt_path)),
                                  os.path.dirname(metrics_path))
             and os.path.getsize(metrics_path) > length):
@@ -106,9 +106,12 @@ class Trainer:
         cfg = self.cfg.train
         buf = RolloutBuffer(cfg.rollout_steps, OBS_DIM)
         obs_n = self._pending_obs
-        head = gaussian_head(self.params.log_std)
+        # acting on a float64 copy, made once per rollout as the head is,
+        # keeps the log-probs exact against a float64 recomputation
+        actor = [a.astype(np.float64) for a in self.params.actor]
+        head = gaussian_head(self.params.log_std.astype(np.float64))
         for _ in range(cfg.rollout_steps):
-            mean = forward(self.params, obs_n)
+            mean = forward(actor, obs_n)
             action, logp = sample_action(mean, head, self.rngs["policy"])
             reward_raw, done = self.env.step(action)
             if not math.isfinite(reward_raw):

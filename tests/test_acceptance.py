@@ -22,7 +22,7 @@ from gateracer.env import OBS_DIM
 from gateracer.evaluation import evaluate
 from gateracer.geometry import (Gate, default_track, sample_spawn, save_track,
                                 segment_frame_collision, segment_gate_crossing)
-from gateracer.networks import (forward_batch, gaussian_log_prob, init_policy)
+from gateracer.networks import draw_policy, forward_batch, gaussian_log_prob
 from gateracer.opponent import (FollowerState, advance, expected_gate_times,
                                 plan)
 from gateracer.ppo import (RolloutBuffer, TrainConfig,
@@ -249,7 +249,7 @@ def test_criterion_3_gradient_correctness(capfd):
     with criterion(3, "PPO loss gradients match finite differences", capfd):
         t0 = time.perf_counter()
         rng = np.random.default_rng(11)
-        params = init_policy(rng, obs_dim=4, hidden=8)
+        params = draw_policy(rng, obs_dim=4, hidden=8)
         n = 16
         obs = rng.standard_normal((n, 4))
         _, _, _, mean = forward_batch(params.actor, obs)
@@ -305,8 +305,11 @@ def test_criterion_4_ratio_identity(tmp_path, capfd):
         buf = tr.collect_rollout()
         tr.metrics.close()
         assert buf.capacity == 2048 and buf.full
-        _, _, _, mean = forward_batch(tr.params.actor, buf.obs)
-        logp = gaussian_log_prob(buf.actions, mean, tr.params.log_std)
+        # theta_old, the stored float32 parameters, recomputed in float64
+        actor = [a.astype(np.float64) for a in tr.params.actor]
+        _, _, _, mean = forward_batch(actor, buf.obs)
+        logp = gaussian_log_prob(buf.actions, mean,
+                                 tr.params.log_std.astype(np.float64))
         assert np.max(np.abs(logp - buf.log_probs)) < 1e-12
 
 

@@ -66,11 +66,11 @@ def test_train_eval_race_roundtrip(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["counters"]["global_step"] == 2048
     arrays = info["arrays"]
-    assert arrays["param00"]["dtype"] == "float64"
-    for name in ("adam_m00", "adam_v00"):
+    for name in ("param00", "adam_m00", "adam_v00"):
         assert arrays[name] == {"dtype": "float32",
                                 "shape": arrays["param00"]["shape"]}
-    assert {a["dtype"] for a in arrays.values()} == {"float32", "float64"}
+    assert {name for name, a in arrays.items() if a["dtype"] == "float64"
+            } == {"obs_mean", "obs_m2", "pending_obs"}
 
 
 def test_missing_config_is_exit_1(tmp_path, capsys):

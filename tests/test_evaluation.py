@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gateracer import evaluation, networks
-from gateracer.checkpoint import load_checkpoint
+from gateracer.checkpoint import load_checkpoint, load_policy
 from gateracer.config import (HarnessConfig, OpponentSettings, RunConfig,
                               TrackSettings)
 from gateracer.dynamics import DynamicsConfig
@@ -164,11 +164,11 @@ def test_displaced_spawn_sets_distance_and_yaw_offset(monkeypatch):
 def test_one_actor_forward_per_lockstep_step(noisy_state, monkeypatch):
     rows = []
 
-    def spy(params, obs):
-        # every call gets a float32 batch, a lone live episode included
-        assert obs.dtype == np.float32 and obs.shape == (len(obs), 21)
+    def spy(actor, obs):
+        # every call gets a batch, a lone live episode included
+        assert obs.shape == (len(obs), 21)
         rows.append(len(obs))
-        return networks.forward(params, obs)
+        return networks.forward(actor, obs)
 
     steps = {}
     env_step = RacingEnv.step
@@ -196,29 +196,37 @@ def test_one_actor_forward_per_lockstep_step(noisy_state, monkeypatch):
     assert 1 in sizes  # a lone live episode is a batch of one
 
 
-def test_actor_acts_in_float32_on_a_copy(noisy_state, monkeypatch):
-    """The actor forward gets float32 weights and inputs and returns
-    float32 means; the checkpoint's float64 actor is left as it was."""
+def test_actor_acts_on_the_stored_float32_weights(noisy_state, monkeypatch):
+    """The actor forward gets the arrays that load_policy built, with no
+    copy, and returns float32 means; the checkpoint's own float32 actor
+    is left as it was."""
     # the actor's four weights and four biases come first
     actor = {f"param{i:02d}": noisy_state["arrays"][f"param{i:02d}"].copy()
              for i in range(8)}
-    seen = []
+    loaded, seen = [], []
 
-    def spy(params, obs):
-        mean = networks.forward(params, obs)
-        seen.append((params.actor, obs, mean))
+    def load_spy(state, frozen):
+        params, stats = load_policy(state, frozen)
+        loaded.append(params.actor)
+        return params, stats
+
+    def spy(net, obs):
+        mean = networks.forward(net, obs)
+        seen.append((net, obs, mean))
         return mean
 
+    monkeypatch.setattr(evaluation, "load_policy", load_spy)
     monkeypatch.setattr(evaluation, "forward", spy)
     for run in _runs(noisy_state, seed=2):
         for episodes in (1, 3):
             run(episodes)
     assert {len(obs) for _, obs, _ in seen} >= {1, 3}
     for net, obs, mean in seen:
+        assert any(net is params for params in loaded)
         assert [a.dtype for a in net] == [np.float32] * len(actor)
-        assert obs.dtype == mean.dtype == np.float32
+        assert mean.dtype == np.float32
     for name, a in actor.items():
-        assert noisy_state["arrays"][name].dtype == np.float64
+        assert noisy_state["arrays"][name].dtype == np.float32
         np.testing.assert_array_equal(noisy_state["arrays"][name], a)
 
 
@@ -233,8 +241,9 @@ def test_episode_outcome_does_not_depend_on_the_episode_count(noisy_state,
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    def rowwise(params, obs):
-        return np.array([networks._mlp_forward(row, *params.actor)[3]
+    def rowwise(actor, obs):
+        obs = np.asarray(obs, dtype=actor[0].dtype)
+        return np.array([networks._mlp_forward(row, *actor)[3]
                          for row in obs])
 
     monkeypatch.setattr(evaluation, "RacingEnv", RecordedEnv)

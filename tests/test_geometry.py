@@ -358,6 +358,8 @@ def _set_gate_field(key, value):
     (_set_gate_field("frame_thickness", math.nan), "frame_thickness"),
     (_set_gate_field("frame_thickness", math.inf), "frame_thickness"),
     (_set_gate_field("half_width", math.nan), "half_width"),
+    # with reward.time_limit null an episode would then never time out
+    (_set("time_limit", math.inf), "time_limit"),
 ])
 def test_bad_track_file_names_the_field(tmp_path, capsys, edit, field):
     data = track_to_dict(default_track(4, n_gates=3))

@@ -7,8 +7,9 @@ import pytest
 
 from gateracer import ppo
 from gateracer.env import OBS_DIM
-from gateracer.networks import (Adam, clip_grads_global, forward_batch,
-                                gaussian_log_prob, init_policy)
+from gateracer.networks import (Adam, PolicyParams, clip_grads_global,
+                                draw_policy, forward_batch, gaussian_log_prob,
+                                init_policy)
 from gateracer.ppo import (RolloutBuffer, TrainConfig, _minibatch_loss_and_grads,
                            compute_gae, fill_values, ppo_update)
 
@@ -69,7 +70,7 @@ def test_buffer_capacity():
 @pytest.mark.parametrize("last_done", [False, True])
 def test_fill_values_matches_one_critic_pass(last_done):
     rng = np.random.default_rng(3)
-    params = init_policy(rng, obs_dim=4, hidden=8)
+    params = draw_policy(rng, obs_dim=4, hidden=8)
     buf = filled_buffer(rng, n=64)
     buf.dones[-1] = float(last_done)
     next_obs = rng.standard_normal(4)
@@ -125,7 +126,7 @@ def test_gae_lambda_one_is_discounted_return_minus_value():
 
 def _tiny_setup(seed=0, n=32, obs_dim=4):
     rng = np.random.default_rng(seed)
-    params = init_policy(rng, obs_dim=obs_dim, hidden=8)
+    params = draw_policy(rng, obs_dim=obs_dim, hidden=8)
     obs = rng.standard_normal((n, obs_dim))
     _, _, _, mean = forward_batch(params.actor, obs)
     actions = mean + np.exp(params.log_std) * rng.standard_normal((n, 3))
@@ -196,7 +197,8 @@ def test_value_loss_is_mse():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_minibatch_grads_follow_the_param_dtype(dtype):
     params, obs, actions, logp, adv, rets = _tiny_setup(seed=3)
-    cast = params.astype(dtype)
+    stored = init_policy(np.random.default_rng(3), obs_dim=4, hidden=8)
+    cast = params if dtype == np.float64 else stored
     for a, b in zip(params.flat_list(), cast.flat_list()):
         assert b.dtype == dtype
         assert b.flags.f_contiguous == a.flags.f_contiguous
@@ -211,7 +213,7 @@ def test_float32_grads_match_float64_at_full_size():
     gradients the update uses agree with the float64 ones to 1e-4 in
     relative global norm, with both clip branches active."""
     rng = np.random.default_rng(4)
-    params = init_policy(rng, obs_dim=OBS_DIM)
+    params = draw_policy(rng, obs_dim=OBS_DIM)
     n = 256
     obs = rng.standard_normal((n, OBS_DIM))
     _, _, _, mean = forward_batch(params.actor, obs)
@@ -222,8 +224,9 @@ def test_float32_grads_match_float64_at_full_size():
     cfg = TrainConfig(entropy_coef=0.01)
     _, g64, stats = _minibatch_loss_and_grads(params, obs, actions, logp_old,
                                               adv, rets, cfg)
-    _, g32, _ = _minibatch_loss_and_grads(params.astype(np.float32), obs,
-                                          actions, logp_old, adv, rets, cfg)
+    _, g32, _ = _minibatch_loss_and_grads(
+        PolicyParams.from_flat_list(params.flat_list()), obs, actions,
+        logp_old, adv, rets, cfg)
     assert 0.0 < stats["clip_fraction"] < 1.0
     err = math.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(g64, g32)))
     norm = math.sqrt(sum(float(np.sum(a * a)) for a in g64))
@@ -298,15 +301,16 @@ def test_target_kl_ends_the_update_early(target_kl):
         assert 1 <= adam.t < every
 
 
-def test_ppo_update_keeps_master_state_float64():
-    """The minibatches, their gradients and the Adam moments are float32,
-    but the parameters stay float64 in their own memory order."""
+def test_ppo_update_keeps_every_parameter_float32():
+    """The parameters, the minibatches' gradients and the Adam moments
+    are all float32, and the parameters keep their own memory order: the
+    update steps them in place, with no copy."""
     cfg = TrainConfig(rollout_steps=64, minibatch_size=32,
                       epochs_per_update=2)
     params, buf = make_update_inputs(seed=6)
     adam = Adam([p.shape for p in params.flat_list()])
-    layout = [(p.flags.c_contiguous, p.flags.f_contiguous)
-              for p in params.flat_list()]
+    stored = params.flat_list()
+    layout = [(p.flags.c_contiguous, p.flags.f_contiguous) for p in stored]
     assert (False, True) in layout  # the wide W1 is Fortran-ordered
     grad_dtypes = set()
     step = adam.step
@@ -319,8 +323,8 @@ def test_ppo_update_keeps_master_state_float64():
     ppo_update(params, buf, cfg, np.random.default_rng(0), adam)
     assert adam.t == 4
     assert grad_dtypes == {np.dtype(np.float32)}  # no upcast before Adam
-    for p, order in zip(params.flat_list(), layout):
-        assert p.dtype == np.float64
+    for p, q, order in zip(params.flat_list(), stored, layout):
+        assert p is q and p.dtype == np.float32
         assert (p.flags.c_contiguous, p.flags.f_contiguous) == order
     for a, p in zip(adam.m + adam.v, params.flat_list() * 2):
         assert a.dtype == np.float32 and a.flags.c_contiguous
@@ -339,7 +343,7 @@ def serial_update(params, buf, cfg, rng, adam):
         for start in range(0, buf.capacity, cfg.minibatch_size):
             idx = perm[start:start + cfg.minibatch_size]
             _, grads, stats = _minibatch_loss_and_grads(
-                params.astype(np.float32), obs[idx], buf.actions[idx],
+                params, obs[idx], buf.actions[idx],
                 buf.log_probs[idx], buf.advantages[idx], buf.returns[idx], cfg)
             clip_grads_global(grads, cfg.max_grad_norm)
             adam.step(flat, grads, cfg.learning_rate)

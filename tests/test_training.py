@@ -7,12 +7,13 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 import gateracer
-from gateracer import checkpoint
+from gateracer import checkpoint, evaluation, networks
 from gateracer.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gateracer.cli import main as cli_main
 from gateracer.config import RunConfig, TrackSettings
@@ -88,18 +89,70 @@ def _one_update_trainer(out_dir, resume=None):
 
 
 def test_checkpoint_arrays_keep_their_dtype_after_an_update(tmp_path):
-    """Adam moments are float32, everything else float64, and the
-    checkpoint stores each array in its in-memory dtype."""
+    """The parameters and the Adam moments are float32, the observation
+    statistics and the pending observation float64, and the checkpoint
+    stores each array in its in-memory dtype."""
     tr = _one_update_trainer(tmp_path)
     assert tr.update_count == 1
     arrays = tr._state_dict()["arrays"]
     saved = load_checkpoint(tr.checkpoint_path)["arrays"]
     assert set(saved) == set(arrays)
+    float64 = {"obs_mean", "obs_m2", "pending_obs"}
     for name in arrays:
-        want = np.float32 if name.startswith("adam_") else np.float64
+        assert name in float64 or name.startswith(("param", "adam_")), name
+        want = np.float64 if name in float64 else np.float32
         assert arrays[name].dtype == saved[name].dtype == want, name
         assert saved[name].dtype.byteorder in "<=", name
     assert sum(name.startswith("adam_m") for name in arrays) == 17
+
+
+def test_a_checkpoint_with_float64_parameters_runs_on_float32(
+        tmp_path, capsys, monkeypatch):
+    """Checkpoints written while the parameters were float64 master
+    weights hold float64 `param*` arrays. Such a file loads with them cast
+    to float32: evaluate and race act on float32 weights, and a resume
+    trains float32 parameters, each exactly as from the file that stores
+    the same values in float32. `inspect --ckpt` shows the arrays as they
+    are stored."""
+    path = _one_update_trainer(tmp_path / "first").checkpoint_path
+    state = load_checkpoint(path)
+    wide = dict(state, arrays={
+        name: a.astype(np.float64) if name.startswith("param") else a
+        for name, a in state["arrays"].items()})
+    wide_path = str(tmp_path / "wide.bin")
+    save_checkpoint(wide_path, wide)
+    wide = load_checkpoint(wide_path)
+    assert {a.dtype for name, a in wide["arrays"].items()
+            if name.startswith("param")} == {np.dtype(np.float64)}
+
+    dtypes = set()
+
+    def spy(actor, obs):
+        dtypes.update(a.dtype for a in actor)
+        return networks.forward(actor, obs)
+
+    monkeypatch.setattr(evaluation, "forward", spy)
+    for run in (partial(evaluation.evaluate, episodes=2),
+                partial(evaluation.race, episodes=1)):
+        assert run(wide) == run(state)
+    assert dtypes == {np.dtype(np.float32)}
+
+    resumed = []
+    for name, ckpt in (("narrow", path), ("wide", wide_path)):
+        tr = Trainer(None, seed=0, out_dir=tmp_path / name, resume=ckpt)
+        assert {p.dtype for p in tr.params.flat_list()} == {
+            np.dtype(np.float32)}
+        tr.iterate()
+        tr.close()
+        resumed.append(tr.params.flat_list())
+    for a, b in zip(*resumed):
+        np.testing.assert_array_equal(a, b)
+
+    capsys.readouterr()
+    assert cli_main(["inspect", "--ckpt", wide_path]) == 0
+    arrays = json.loads(capsys.readouterr().out)["arrays"]
+    assert arrays["param00"]["dtype"] == "float64"
+    assert arrays["adam_m00"]["dtype"] == "float32"
 
 
 def test_resume_refuses_float64_moments(tmp_path, capsys):
@@ -374,19 +427,6 @@ def test_resume_after_a_crash_writes_no_duplicate_metrics(tmp_path):
     Trainer(_crash_cfg(), seed=4, out_dir=tmp_path / "crash",
             resume=str(path)).train()
     assert (tmp_path / "crash" / "metrics.jsonl").read_bytes() == want
-
-
-def test_checkpoint_without_metrics_length_resumes_as_before(tmp_path):
-    """Checkpoints written before the log length was recorded still load;
-    the log is then appended to, not cut."""
-    path = _crash_after_seven_updates(tmp_path)
-    state = load_checkpoint(path)
-    del state["scalars"]["metrics_bytes"]
-    save_checkpoint(path, state)
-    before = (tmp_path / "metrics.jsonl").read_bytes()
-    tr = Trainer(_crash_cfg(), seed=4, out_dir=tmp_path, resume=str(path))
-    tr.metrics.close()
-    assert (tmp_path / "metrics.jsonl").read_bytes() == before
 
 
 def test_checkpoint_with_a_full_opponent_record_resumes_as_before(tmp_path):
