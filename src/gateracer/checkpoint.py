@@ -22,6 +22,7 @@ from .normalization import RunningStats
 FORMAT_VERSION = 3
 _V1_PREFIX = b"GRCKPT\x00"  # how every version-1 checkpoint starts
 _HEADER_MEMBER = "checkpoint.json"
+_N_PARAMS = 17  # PolicyParams.flat_list(): 8 actor arrays, log_std, 8 critic
 _JSON_KEYS = ("counters", "config", "track", "scalars", "rng", "env")
 # the array dtypes in the order of their members, each stored little-endian
 _DTYPES = {"float64": np.dtype("<f8"), "float32": np.dtype("<f4")}
@@ -171,16 +172,23 @@ def policy_entries(params: PolicyParams, obs_stats: RunningStats):
     return arrays, {"obs_count": obs_stats.count}
 
 
+def _entry(state: dict, section: str, name: str):
+    """state[section][name], or a CheckpointError naming the entry."""
+    if name not in state[section]:
+        kind = "array" if section == "arrays" else "scalar"
+        raise CheckpointError(f"checkpoint {kind} '{name}' is missing")
+    return state[section][name]
+
+
 def load_policy(state: dict, frozen: bool):
     """Inverse of policy_entries on a loaded state: (params, obs stats)."""
-    arrays = state["arrays"]
-    n = sum(name.startswith("param") for name in arrays)
     params = PolicyParams.from_flat_list(
-        [arrays[f"param{i:02d}"] for i in range(n)])
-    stats = RunningStats(len(arrays["obs_mean"]))
-    stats.load_state_dict({"count": state["scalars"]["obs_count"],
-                           "mean": arrays["obs_mean"],
-                           "m2": arrays["obs_m2"], "frozen": frozen})
+        [_entry(state, "arrays", f"param{i:02d}") for i in range(_N_PARAMS)])
+    mean = _entry(state, "arrays", "obs_mean")
+    stats = RunningStats(len(mean))
+    stats.load_state_dict({"count": _entry(state, "scalars", "obs_count"),
+                           "mean": mean, "m2": _entry(state, "arrays", "obs_m2"),
+                           "frozen": frozen})
     return params, stats
 
 
@@ -196,7 +204,7 @@ def optimizer_entries(adam: Adam):
 def load_optimizer(state: dict, params: PolicyParams) -> Adam:
     """Inverse of optimizer_entries on a loaded state, for `params`."""
     adam = Adam([p.shape for p in params.flat_list()])
-    adam.t = int(state["scalars"]["adam_t"])
+    adam.t = int(_entry(state, "scalars", "adam_t"))
     for name, moment in optimizer_entries(adam)[0].items():
         a = state["arrays"].get(name)
         if a is None or a.shape != moment.shape:

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,9 +72,19 @@ class RunConfig:
 
 # block name -> block class, in RunConfig's order
 _BLOCKS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
+# removed fields -> the one value that every config stored or dumped while
+# the field existed holds; the loader drops that value and refuses others
+_RETIRED = {"train": {"target_kl": None, "lr_decay": False}}
 
 
 def _build_block(cls, data: dict, name: str):
+    retired = _RETIRED.get(name, {})
+    for key in retired.keys() & data.keys():
+        if data[key] is not retired[key]:
+            raise ConfigError(
+                f"invalid '{name}' block: {key} is retired and must be "
+                f"{json.dumps(retired[key])}, got {data[key]!r}")
+    data = {k: v for k, v in data.items() if k not in retired}
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - fields
     if unknown:

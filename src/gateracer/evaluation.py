@@ -17,7 +17,7 @@ from .checkpoint import load_policy
 from .config import run_config_from_dict
 from .env import RacingEnv
 from .geometry import Track, norm3, sample_spawn, track_from_dict
-from .networks import forward, gaussian_head, sample_action
+from .networks import forward, sample_action
 from .normalization import normalize_observation
 from .rewards import TERM_ALL_GATES
 
@@ -50,14 +50,14 @@ def _lockstep(params, stats, envs, obs, action_rngs, deterministic,
     makes one actor forward over it and steps each live episode; an
     episode leaves the batch once it is over."""
     live = list(range(len(envs)))
-    head = gaussian_head(params.log_std)
+    std = np.exp(params.log_std).tolist()
     while live:
         mean = forward(params.actor,
                        normalize_observation(stats, np.array(obs)))
         if deterministic:
             actions = mean.tolist()
         else:
-            actions = [sample_action(m, head, action_rngs[k])[0]
+            actions = [sample_action(m, std, action_rngs[k])
                        for k, m in zip(live, mean)]
         live = [k for k, a in zip(live, actions) if not step(k, a)]
         obs = [envs[k].observe() for k in live]

@@ -1,5 +1,5 @@
 """From-scratch actor/critic MLPs (3 hidden tanh layers), the diagonal
-Gaussian action head, and an adaptive-moment optimizer.
+Gaussian's sampling and log-density, and an adaptive-moment optimizer.
 
 The parameters and the optimizer's moments are float32; `_policy_layout`
 sets the parameters' dtype for `init_policy` and `load_policy` alike.
@@ -148,27 +148,14 @@ def gaussian_entropy(log_std) -> float:
     return float(np.sum(log_std + 0.5 * (1.0 + LOG2PI)))
 
 
-def gaussian_head(log_std) -> tuple[list, list, list]:
-    """(std, 1/std, log_std) as float lists, for `sample_action`; log_std
-    changes only in the update, so a rollout makes the head once."""
-    return (np.exp(log_std).tolist(), np.exp(-log_std).tolist(),
-            log_std.tolist())
-
-
-def sample_action(mean, head, rng: np.random.Generator):
-    """(action, log_prob) for one observation's 1-D mean and the
-    `gaussian_head` of log_std; the action is a float list. The log-prob is
-    summed term by term in gaussian_log_prob's order. The action is not
-    bounded here: `dynamics.step` clamps each command to [-1, 1]."""
-    m = mean.tolist()
-    std, inv_std, log_std = head
-    eps = rng.standard_normal(len(m)).tolist()
-    raw = [mi + si * ei for mi, si, ei in zip(m, std, eps)]
-    total = 0.0
-    for ri, mi, ki, li in zip(raw, m, inv_std, log_std):
-        z = (ri - mi) * ki
-        total += z * z + 2.0 * li + LOG2PI
-    return raw, -0.5 * total
+def sample_action(mean, std, rng: np.random.Generator) -> list:
+    """One draw from the Gaussian of one observation's 1-D mean and `std`,
+    log_std's exp as a float list, made once per rollout or evaluation;
+    the action is a float list. Its log-prob is computed batched after the
+    rollout (ppo.fill_values). The action is not bounded here:
+    `dynamics.step` clamps each command to [-1, 1]."""
+    eps = rng.standard_normal(len(std)).tolist()
+    return [mi + si * ei for mi, si, ei in zip(mean.tolist(), std, eps)]
 
 
 class Adam:

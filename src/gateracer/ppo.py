@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (COUNT, FLAG, NATURAL, NON_NEGATIVE, POSITIVE,
-                      POSITIVE_OR_NULL, ConfigBlock, Domain)
+from .domains import (COUNT, NATURAL, NON_NEGATIVE, POSITIVE, ConfigBlock,
+                      Domain)
 from .networks import (Adam, PolicyParams, backward_batch, clip_grads_global,
                        forward_batch, gaussian_entropy, gaussian_log_prob,
                        LOG_STD_MAX, LOG_STD_MIN)
@@ -43,8 +43,6 @@ class TrainConfig(ConfigBlock):
     entropy_coef: float = NON_NEGATIVE(0.0)
     max_grad_norm: float = POSITIVE(0.5)  # a negative one flips the step
     total_steps: int = NATURAL(1_000_000)
-    target_kl: float | None = POSITIVE_OR_NULL(None)  # early stop if set
-    lr_decay: bool = FLAG(False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -54,9 +52,9 @@ class TrainConfig(ConfigBlock):
 
 class RolloutBuffer:
     """Fixed-capacity on-policy store. Actions are the policy's samples,
-    unbounded, and log-probs are theirs; rewards are the scaled ones fed
-    to GAE. Values and the bootstrap value are filled once the buffer is
-    full (fill_values)."""
+    unbounded; rewards are the scaled ones fed to GAE. Their log-probs,
+    the values and the bootstrap value are filled once the buffer is full
+    (fill_values)."""
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int = 3):
         self.capacity = capacity
@@ -76,37 +74,40 @@ class RolloutBuffer:
     def full(self) -> bool:
         return self.ptr == self.capacity
 
-    def add(self, obs, action, log_prob, reward, done):
+    def add(self, obs, action, reward, done):
         if self.full:
             raise ValueError("rollout buffer is full")
         i = self.ptr
         self.obs[i] = obs
         self.actions[i] = action
-        self.log_probs[i] = log_prob
         self.rewards[i] = reward
         self.dones[i] = 1.0 if done else 0.0
         self.ptr += 1
 
 
-def fill_values(buffer: RolloutBuffer, critic: list[np.ndarray],
+def fill_values(buffer: RolloutBuffer, params: PolicyParams,
                 next_obs: np.ndarray, chunk: int) -> RolloutBuffer:
-    """Set values = V(obs) and bootstrap_value = V(next_obs), or 0 when
-    the last step ended an episode. One critic pass over the stored
-    observations plus next_obs, in the critic's dtype, in chunks of
-    `chunk` rows so the hidden activations stay minibatch-sized. BLAS runs
-    one thread here too: after a two-thread product, OpenBLAS's own thread
-    spins for about 0.13 s of CPU, and the update that follows would share
-    the second core with it."""
+    """Set values = V(obs) in the critic's dtype, bootstrap_value =
+    V(next_obs) (0 when the last step ended an episode), and the theta_old
+    log_probs in float64, from one copy of the actor and log_std, so that
+    they are exact against a float64 recomputation. Chunks of `chunk` rows
+    keep the hidden activations minibatch-sized. BLAS runs one thread
+    here too: after a two-thread product, OpenBLAS's own thread spins for
+    about 0.13 s of CPU, and the update that follows would share the
+    second core with it."""
     if not buffer.full:
         raise ValueError("buffer must be full before computing values")
-    obs = np.vstack([buffer.obs, next_obs])
-    values = np.empty(obs.shape[0])
+    actor = [a.astype(np.float64) for a in params.actor]
+    log_std = params.log_std.astype(np.float64)
     with _one_blas_thread():
-        for start in range(0, obs.shape[0], chunk):
-            values[start:start + chunk] = forward_batch(
-                critic, obs[start:start + chunk])[3][:, 0]
-    buffer.values[:] = values[:-1]
-    buffer.bootstrap_value = 0.0 if buffer.dones[-1] else float(values[-1])
+        for start in range(0, buffer.capacity, chunk):
+            rows = slice(start, start + chunk)
+            obs = buffer.obs[rows]
+            buffer.values[rows] = forward_batch(params.critic, obs)[3][:, 0]
+            buffer.log_probs[rows] = gaussian_log_prob(
+                buffer.actions[rows], forward_batch(actor, obs)[3], log_std)
+        buffer.bootstrap_value = 0.0 if buffer.dones[-1] else float(
+            forward_batch(params.critic, next_obs[None])[3][0, 0])
     return buffer
 
 
@@ -295,11 +296,11 @@ def _minibatches(rng: np.random.Generator, n: int, size: int, epochs: int):
 
 
 def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
-               rng: np.random.Generator, adam: Adam | None = None,
-               lr: float | None = None):
+               rng: np.random.Generator, adam: Adam | None = None) -> dict:
     """Run epochs_per_update passes of shuffled minibatches over the
-    buffer, mutating params in place. theta_old lives in the stored
-    log-probs and stays fixed for the whole update.
+    buffer, mutating params in place, at the constant learning_rate;
+    returns the stats averaged over the minibatches. theta_old lives in
+    the stored log-probs and stays fixed for the whole update.
 
     Each minibatch's forward and backward run in float32 on the float32
     parameters themselves, and its float32 gradients go straight to
@@ -314,8 +315,6 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
         raise ValueError("advantages must be computed before the update")
     if adam is None:
         adam = Adam([p.shape for p in params.flat_list()])
-    if lr is None:
-        lr = cfg.learning_rate
 
     flat = params.flat_list()
     k = len(params.actor) + 1  # the policy half's arrays lead flat_list()
@@ -327,7 +326,7 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
         """The critic's step t of the last minibatch, if any, then the
         value half of the next, if any."""
         if critic_grads is not None:
-            adam.step(flat[k:], critic_grads, lr, t=t, first=k)
+            adam.step(flat[k:], critic_grads, cfg.learning_rate, t=t, first=k)
         if idx is not None:
             return _value_half(params.critic, obs[idx], buffer.returns[idx],
                                cfg)
@@ -348,15 +347,12 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer, cfg: TrainConfig,
                     f"adv range [{buffer.advantages.min()}, {buffer.advantages.max()}]")
             clip_grads_global(grads, cfg.max_grad_norm)
             t = adam.t + 1
-            stop = (cfg.target_kl is not None
-                    and stats["approx_kl"] > 1.5 * cfg.target_kl)
-            idx = None if stop else next(batches, None)
+            idx = next(batches, None)
             value = submit(value_job, grads[k:], t, idx)
-            adam.step(flat[:k], grads[:k], lr, t=t)
+            adam.step(flat[:k], grads[:k], cfg.learning_rate, t=t)
             np.clip(params.log_std, LOG_STD_MIN, LOG_STD_MAX, out=params.log_std)
             for key, val in stats.items():
                 agg[key] = agg.get(key, 0.0) + val
             n_batches += 1
         value.result()  # the last critic step lands before the update returns
-    out = {key: val / n_batches for key, val in agg.items()}
-    return params, out
+    return {key: val / n_batches for key, val in agg.items()}

@@ -15,7 +15,7 @@ from .config import (RunConfig, resolve_track, run_config_from_dict,
 from .env import OBS_DIM, RacingEnv
 from .geometry import Track, track_from_dict, track_to_dict
 from .metrics import MetricsLogger, MetricsRecord
-from .networks import Adam, forward, gaussian_head, init_policy, sample_action
+from .networks import Adam, forward, init_policy, sample_action
 from .normalization import RewardScaler, RunningStats, normalize_observation
 from .ppo import RolloutBuffer, compute_gae, fill_values, ppo_update
 
@@ -106,18 +106,17 @@ class Trainer:
         cfg = self.cfg.train
         buf = RolloutBuffer(cfg.rollout_steps, OBS_DIM)
         obs_n = self._pending_obs
-        # acting on a float64 copy, made once per rollout as the head is,
-        # keeps the log-probs exact against a float64 recomputation
-        actor = [a.astype(np.float64) for a in self.params.actor]
-        head = gaussian_head(self.params.log_std.astype(np.float64))
+        # acting as evaluation._lockstep does: on the stored float32 actor,
+        # with log_std's exp made once; fill_values adds the log-probs
+        std = np.exp(self.params.log_std).tolist()
         for _ in range(cfg.rollout_steps):
-            mean = forward(actor, obs_n)
-            action, logp = sample_action(mean, head, self.rngs["policy"])
+            action = sample_action(forward(self.params.actor, obs_n), std,
+                                   self.rngs["policy"])
             reward_raw, done = self.env.step(action)
             if not math.isfinite(reward_raw):
                 raise RuntimeError(f"non-finite reward at step {self.global_step}")
             scaled = self.reward_scaler.scale(reward_raw, done)
-            buf.add(obs_n, action, logp, scaled, done)
+            buf.add(obs_n, action, scaled, done)
             self.global_step += 1
             if done:
                 self.episode_count += 1
@@ -129,7 +128,7 @@ class Trainer:
                 raise RuntimeError(f"non-finite observation at step {self.global_step}")
             obs_n = normalize_observation(self.obs_stats, obs_raw)
         self._pending_obs = obs_n
-        fill_values(buf, self.params.critic, obs_n, cfg.minibatch_size)
+        fill_values(buf, self.params, obs_n, cfg.minibatch_size)
         return buf
 
     def _emit_episode(self) -> None:
@@ -164,13 +163,8 @@ class Trainer:
         cfg = self.cfg.train
         buf = self.collect_rollout()
         compute_gae(buf, buf.bootstrap_value, cfg.gamma, cfg.gae_lambda)
-        lr = cfg.learning_rate
-        if cfg.lr_decay:
-            total_updates = max(1, cfg.total_steps // cfg.rollout_steps)
-            frac = 1.0 - self.update_count / total_updates
-            lr = cfg.learning_rate * max(frac, 0.0)
-        _, stats = ppo_update(self.params, buf, cfg, self.rngs["update"],
-                              adam=self.adam, lr=lr)
+        stats = ppo_update(self.params, buf, cfg, self.rngs["update"],
+                           adam=self.adam)
         self.update_count += 1
         self._last_update_stats = stats
         self._emit_update(stats)

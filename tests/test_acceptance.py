@@ -217,7 +217,7 @@ def test_criterion_2_gae_oracle(capfd):
                 obs, action = rng.standard_normal(4), rng.standard_normal(3)
                 reward = float(rng.standard_normal())
                 value = float(rng.standard_normal())
-                buf.add(obs, action, 0.0, reward, bool(rng.random() < 0.1))
+                buf.add(obs, action, reward, bool(rng.random() < 0.1))
                 buf.values[i] = value
             bootstrap = float(rng.standard_normal())
             for lam in (0.95, 1.0):

@@ -5,6 +5,7 @@ import zipfile
 import pytest
 import yaml
 
+from gateracer.checkpoint import load_checkpoint, save_checkpoint
 from gateracer.cli import main
 from gateracer.config import MAX_GATES
 from gateracer.geometry import default_track, save_track
@@ -116,6 +117,29 @@ def test_v1_checkpoint_is_exit_1(tmp_path, capsys, trained_ckpt):
             assert main(argv) == 1
             assert ("error: checkpoint format version mismatch: expected 3, "
                     f"found {version}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,name", [
+    ("arrays", "param03"), ("arrays", "param16"), ("arrays", "obs_mean"),
+    ("arrays", "obs_m2"), ("scalars", "obs_count")])
+def test_checkpoint_without_a_policy_entry_is_exit_1(tmp_path, capsys,
+                                                     trained_ckpt, section,
+                                                     name):
+    """A well-formed checkpoint that lacks one of the policy's entries is
+    refused at load, naming the entry, by each command that loads the
+    policy."""
+    state = load_checkpoint(trained_ckpt)
+    del state[section][name]
+    path = str(tmp_path / "missing.bin")
+    save_checkpoint(path, state)
+    kind = "array" if section == "arrays" else "scalar"
+    for argv in (["eval", "--ckpt", path, "--episodes", "1"],
+                 ["race", "--ckpt", path, "--episodes", "1"],
+                 ["train", "--config", write_cfg(tmp_path),
+                  "--out", str(tmp_path / "o"), "--resume", path]):
+        assert main(argv) == 1
+        assert (f"error: checkpoint {kind} '{name}' is missing"
+                in capsys.readouterr().err)
 
 
 def test_removed_arrival_radius_is_unknown_key(tmp_path, capsys):

@@ -51,11 +51,28 @@ _anything = st.dictionaries(
 @example(data={"train": {1: 0, "x": 0}})
 @example(data={1: {}, "x": {}})
 @example(data={"track": {"n_gates": MAX_GATES + 1}})
+@example(data={"train": {"target_kl": None, "lr_decay": False}})
+@example(data={"train": {"target_kl": 0.01}})
+@example(data={"train": {"lr_decay": True}})
+@example(data={"train": {"lr_decay": 0}})
 def test_config_loader_raises_only_config_error(data):
     try:
         resolve_track(run_config_from_dict(data))
     except ConfigError:
         pass
+
+
+def test_retired_train_keys_load_only_at_the_value_they_held():
+    """A config stored or dumped while target_kl and lr_decay existed holds
+    null and false for them; those load as the defaults, and any other
+    value is refused naming the key."""
+    retired = {"target_kl": None, "lr_decay": False}
+    assert run_config_from_dict({"train": retired}) == RunConfig()
+    for key, value in (("target_kl", 0.01), ("target_kl", float("inf")),
+                       ("lr_decay", True), ("lr_decay", 0)):
+        with pytest.raises(ConfigError, match=f"^invalid 'train' block: "
+                                              f"{key} is retired"):
+            run_config_from_dict({"train": {**retired, key: value}})
 
 
 def test_n_gates_is_capped():

@@ -41,7 +41,8 @@ def filled_buffer(rng, n=128, obs_dim=4):
         reward = float(rng.standard_normal())
         value = float(rng.standard_normal())
         done = bool(rng.random() < 0.1)
-        buf.add(obs, action, logp, reward, done)
+        buf.add(obs, action, reward, done)
+        buf.log_probs[i] = logp
         buf.values[i] = value
     return buf
 
@@ -59,28 +60,33 @@ def test_config_validation():
 
 def test_buffer_capacity():
     buf = RolloutBuffer(2, 3)
-    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, False)
+    buf.add(np.zeros(3), np.zeros(3), 0.0, False)
     assert not buf.full
-    buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, True)
+    buf.add(np.zeros(3), np.zeros(3), 0.0, True)
     assert buf.full
     with pytest.raises(ValueError):
-        buf.add(np.zeros(3), np.zeros(3), 0.0, 0.0, False)
+        buf.add(np.zeros(3), np.zeros(3), 0.0, False)
 
 
 @pytest.mark.parametrize("last_done", [False, True])
 def test_fill_values_matches_one_critic_pass(last_done):
+    """Values, bootstrap value and theta_old log-probs as one unchunked
+    pass gives them."""
     rng = np.random.default_rng(3)
     params = draw_policy(rng, obs_dim=4, hidden=8)
     buf = filled_buffer(rng, n=64)
     buf.dones[-1] = float(last_done)
     next_obs = rng.standard_normal(4)
     with pytest.raises(ValueError):
-        fill_values(RolloutBuffer(64, 4), params.critic, next_obs, 16)
-    fill_values(buf, params.critic, next_obs, chunk=16)
+        fill_values(RolloutBuffer(64, 4), params, next_obs, 16)
+    fill_values(buf, params, next_obs, chunk=16)
     _, _, _, v = forward_batch(params.critic, np.vstack([buf.obs, next_obs]))
     np.testing.assert_allclose(buf.values, v[:-1, 0], rtol=0, atol=1e-12)
     want = 0.0 if last_done else v[-1, 0]
     assert buf.bootstrap_value == pytest.approx(want, rel=0, abs=1e-12)
+    _, _, _, mean = forward_batch(params.actor, buf.obs)
+    logp = gaussian_log_prob(buf.actions, mean, params.log_std)
+    np.testing.assert_allclose(buf.log_probs, logp, rtol=0, atol=1e-12)
 
 
 def test_gae_requires_full_buffer():
@@ -244,7 +250,8 @@ def make_update_inputs(seed=0, n=64, obs_dim=4):
         lp = float(gaussian_log_prob(a, mean[0], params.log_std))
         reward = float(rng.standard_normal())
         value = float(rng.standard_normal())
-        buf.add(o, a, lp, reward, bool(rng.random() < 0.1))
+        buf.add(o, a, reward, bool(rng.random() < 0.1))
+        buf.log_probs[i] = lp
         buf.values[i] = value
     compute_gae(buf, 0.0, 0.99, 0.95)
     return params, buf
@@ -263,7 +270,7 @@ def test_ppo_update_mutates_and_is_deterministic():
                       epochs_per_update=2)
     params1, buf1 = make_update_inputs(seed=5)
     before = [p.copy() for p in params1.flat_list()]
-    _, stats = ppo_update(params1, buf1, cfg, np.random.default_rng(9))
+    stats = ppo_update(params1, buf1, cfg, np.random.default_rng(9))
     changed = any(not np.array_equal(a, b)
                   for a, b in zip(before, params1.flat_list()))
     assert changed
@@ -283,22 +290,6 @@ def test_ppo_update_respects_log_std_bounds():
     params, buf = make_update_inputs(seed=8)
     ppo_update(params, buf, cfg, np.random.default_rng(0))
     assert np.all(params.log_std >= -5.0) and np.all(params.log_std <= 2.0)
-
-
-@pytest.mark.parametrize("target_kl", [None, 1e-9])
-def test_target_kl_ends_the_update_early(target_kl):
-    """A tiny target_kl stops the update after fewer minibatches than
-    epochs x batches; without one, every minibatch runs."""
-    cfg = TrainConfig(rollout_steps=64, minibatch_size=16,
-                      epochs_per_update=4, target_kl=target_kl)
-    params, buf = make_update_inputs(seed=3)
-    adam = Adam([p.shape for p in params.flat_list()])
-    ppo_update(params, buf, cfg, np.random.default_rng(0), adam)
-    every = cfg.epochs_per_update * cfg.rollout_steps // cfg.minibatch_size
-    if target_kl is None:
-        assert adam.t == every
-    else:
-        assert 1 <= adam.t < every
 
 
 def test_ppo_update_keeps_every_parameter_float32():
@@ -351,9 +342,6 @@ def serial_update(params, buf, cfg, rng, adam):
             for key, val in stats.items():
                 agg[key] = agg.get(key, 0.0) + val
             n_batches += 1
-            if (cfg.target_kl is not None
-                    and stats["approx_kl"] > 1.5 * cfg.target_kl):
-                return {key: val / n_batches for key, val in agg.items()}
     return {key: val / n_batches for key, val in agg.items()}
 
 
@@ -371,7 +359,7 @@ def assert_update_matches_serial(cfg, seed=3):
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                stats = ppo_update(params, buf, cfg, rng, adam)[1]
+                stats = ppo_update(params, buf, cfg, rng, adam)
             finally:
                 sys.setswitchinterval(interval)
         else:
@@ -404,20 +392,15 @@ def _record_backward_threads(monkeypatch, fail_on_value=False):
     return seen
 
 
-@pytest.mark.parametrize("target_kl", [None, 2e-4])
-def test_ppo_update_equals_the_serial_loop(monkeypatch, target_kl):
+def test_ppo_update_equals_the_serial_loop(monkeypatch):
     """The two halves on two threads give the serial loop's result bit for
-    bit. With target_kl the update stops inside an epoch, so the last
-    minibatch's critic step must land before ppo_update returns."""
+    bit, every minibatch taking one step; the last minibatch's critic step
+    must land before ppo_update returns."""
     cfg = TrainConfig(rollout_steps=64, minibatch_size=16,
-                      epochs_per_update=4, target_kl=target_kl)
+                      epochs_per_update=4)
     seen = _record_backward_threads(monkeypatch)
     t = assert_update_matches_serial(cfg)
-    per_epoch = cfg.rollout_steps // cfg.minibatch_size
-    if target_kl is None:
-        assert t == cfg.epochs_per_update * per_epoch
-    else:
-        assert t > per_epoch and t % per_epoch != 0  # stopped mid-epoch
+    assert t == cfg.epochs_per_update * cfg.rollout_steps // cfg.minibatch_size
     if ppo._blas_thread_control() is not None:
         caller = threading.get_ident()
         # the update's calls come first, the serial loop's after them

@@ -278,29 +278,65 @@ def test_fresh_run_starts_the_metrics_log_empty(tmp_path):
     assert (tmp_path / "twice" / "metrics.jsonl").read_bytes() == once
 
 
-@pytest.mark.parametrize("lr_decay", [False, True])
-def test_lr_decay_falls_linearly(tmp_path, monkeypatch, lr_decay):
-    """With lr_decay the learning rate handed to each update falls
-    linearly from learning_rate toward 0 over the step budget; without
-    it, it stays at learning_rate."""
+def test_rollout_acts_on_the_stored_actor_as_evaluation_does(tmp_path,
+                                                             monkeypatch):
+    """Every rollout step hands forward the stored float32 actor arrays
+    themselves, uncopied, and sample_action one std list made once per
+    rollout from log_std, as evaluation makes its own; evaluation samples
+    with the same function, so the same (mean, std, rng) draws the same
+    action in both."""
     from gateracer import training
 
-    lrs = []
-    update = training.ppo_update
+    forward, sample = training.forward, training.sample_action
+    actors, draws = [], []
 
-    def spy(*args, lr, **kwargs):
-        lrs.append(lr)
-        return update(*args, lr=lr, **kwargs)
+    def spy_forward(actor, obs):
+        actors.append(actor)
+        return forward(actor, obs)
 
-    monkeypatch.setattr(training, "ppo_update", spy)
-    cfg = small_cfg(total_steps=4 * 256)
+    def spy_sample(mean, std, rng):
+        state = rng.bit_generator.state
+        action = sample(mean, std, rng)
+        draws.append((mean, std, state, action))
+        return action
+
+    monkeypatch.setattr(training, "forward", spy_forward)
+    monkeypatch.setattr(training, "sample_action", spy_sample)
+    cfg = small_cfg(total_steps=2 * 256)
     cfg.train.rollout_steps = 256
     cfg.train.epochs_per_update = 1
-    cfg.train.lr_decay = lr_decay
-    Trainer(cfg, seed=0, out_dir=tmp_path).train()
-    lr0 = cfg.train.learning_rate
-    fracs = [1.0, 0.75, 0.5, 0.25] if lr_decay else [1.0] * 4
-    assert lrs == pytest.approx([lr0 * f for f in fracs], rel=1e-12)
+    tr = Trainer(cfg, seed=0, out_dir=tmp_path)
+    stored = list(tr.params.actor)
+    stds = []
+    for _ in range(2):
+        std = np.exp(tr.params.log_std).tolist()
+        tr.iterate()
+        rollout, draws[:] = draws[:], []
+        assert len(rollout) == 256
+        assert all(d[1] is rollout[0][1] for d in rollout)  # one list
+        assert rollout[0][1] == std
+        stds.append(rollout[0][1])
+    tr.close()
+    assert stds[0] is not stds[1]
+    assert len(actors) == 2 * 256
+    for actor in actors:
+        assert all(a is b and a.dtype == np.float32
+                   for a, b in zip(actor, stored, strict=True))
+
+    assert evaluation.sample_action is sample
+    for mean, std, state, action in rollout[:8]:
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        assert evaluation.sample_action(mean, std, rng) == action
+    eval_stds = []
+
+    def spy_eval_sample(mean, std, rng):
+        eval_stds.append(std)
+        return sample(mean, std, rng)
+
+    monkeypatch.setattr(evaluation, "sample_action", spy_eval_sample)
+    evaluation.evaluate(tr._state_dict(), 2, seed=1)
+    assert eval_stds and eval_stds[0] == np.exp(tr.params.log_std).tolist()
 
 
 @pytest.mark.parametrize("interval, saved_at", [(2, [2, 4]), (3, [3, 4])])
